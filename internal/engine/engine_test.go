@@ -81,25 +81,6 @@ func TestCancelHandleInvalidatedBySlotReuse(t *testing.T) {
 	}
 }
 
-func TestRescheduleMovesAndReorders(t *testing.T) {
-	e := New()
-	r := &recorder{}
-	h1 := e.Schedule(10, r, Event{A: 1})
-	e.Schedule(20, r, Event{A: 2})
-	if !e.Reschedule(h1, 20) {
-		t.Fatal("reschedule of pending event failed")
-	}
-	// Rescheduling consumes a fresh sequence number: the moved event
-	// now fires AFTER the one already at t=20.
-	e.Run(0)
-	if len(r.got) != 2 || r.got[0] != 2 || r.got[1] != 1 {
-		t.Fatalf("fired %v, want [2 1]", r.got)
-	}
-	if e.Reschedule(h1, 30) {
-		t.Error("reschedule of fired event returned true")
-	}
-}
-
 func TestRunLimitStopsBeforeFutureEvents(t *testing.T) {
 	e := New()
 	fired := false
@@ -128,7 +109,7 @@ func TestCallbacksAndClosures(t *testing.T) {
 	}
 }
 
-// TestHeapAgainstReference drives the indexed heap with random
+// TestHeapAgainstReference drives the queue with random
 // schedules and cancellations, checking the fired sequence against a
 // sorted reference.
 func TestHeapAgainstReference(t *testing.T) {
@@ -180,33 +161,22 @@ func (h *nopHandler) OnEvent(now Time, ev Event) {
 }
 
 // TestSteadyStateLoopAllocatesNothing is the zero-allocation guard:
-// once the slab and heap have grown to the working set, scheduling,
-// firing, cancelling, and rescheduling allocate nothing.
+// once the slab and queue have grown to the working set, scheduling,
+// firing and cancelling allocate nothing.
 func TestSteadyStateLoopAllocatesNothing(t *testing.T) {
 	e := New()
 	h := &nopHandler{e: e}
-	// Warm the slab/heap/free list.
+	// Warm the slab/queue/free list.
 	e.Schedule(0, h, Event{A: 64})
 	e.Run(0)
 	allocs := testing.AllocsPerRun(100, func() {
 		e.Schedule(e.Now(), h, Event{A: 256})
 		e.Run(0)
 		hd := e.ScheduleAfter(5, h, Event{})
-		e.Reschedule(hd, e.Now()+9)
 		e.Cancel(hd)
 	})
 	if allocs > 0 {
 		t.Errorf("steady-state loop allocates %.1f allocs/run, want 0", allocs)
-	}
-}
-
-func BenchmarkScheduleFire(b *testing.B) {
-	e := New()
-	h := &nopHandler{e: e}
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		e.Schedule(e.Now(), h, Event{A: 32})
-		e.Run(0)
 	}
 }
 

@@ -45,6 +45,11 @@ func init() {
 				return nil
 			}
 		}, experiments.FieldSeed)
+	experiments.Register(9002, "svc-test-panic", "test-only: panics mid-run",
+		func(ctx context.Context, p experiments.Params, w io.Writer) error {
+			fmt.Fprintf(w, "panic started seed=%d\n", p.Seed)
+			panic(fmt.Sprintf("svc-test-panic seed=%d", p.Seed))
+		}, experiments.FieldSeed)
 }
 
 // newTestServer builds a server + loopback HTTP client and tears both
@@ -204,6 +209,38 @@ func TestSingleflightDedup(t *testing.T) {
 	stats, _ := c.Stats(ctx)
 	if stats.Deduped != 1 {
 		t.Fatalf("statsz deduped: %+v", stats)
+	}
+}
+
+// TestPanickingJobFailsAndWorkerSurvives: a scenario that panics fails
+// its own job with the panic and stack in the error, and the single
+// worker goes on to complete the next job.
+func TestPanickingJobFailsAndWorkerSurvives(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	ctx := testCtx(t)
+
+	bad, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-panic", Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-echo", Seed: 8})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, bad.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "svc-test-panic seed=7") ||
+		!strings.Contains(st.Error, "runGuarded") {
+		t.Fatalf("panicking job: state %s, error %q; want failed with the panic value and stack", st.State, st.Error)
+	}
+	if st, err = c.Wait(ctx, good.ID, time.Millisecond); err != nil || st.State != StateDone {
+		t.Fatalf("job after the panic: %+v err=%v", st, err)
+	}
+	body, _, err := c.Result(ctx, good.ID)
+	if err != nil || string(body) != "echo seed=8 flows=0\n" {
+		t.Fatalf("job after the panic: result %q err=%v", body, err)
 	}
 }
 

@@ -28,6 +28,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"runtime/debug"
 	"sync"
 	"time"
 
@@ -244,7 +245,7 @@ func (s *Server) run(j *job) {
 		// is a programming error, reported as a failed job.
 		err = fmt.Errorf("service: scenario %q vanished from the registry", j.spec.Scenario)
 	} else {
-		err = e.Run(j.ctx, j.spec.Params(), j.out)
+		err = runGuarded(j, e)
 	}
 
 	j.mu.Lock()
@@ -273,6 +274,18 @@ func (s *Server) run(j *job) {
 		s.mu.Unlock()
 	}
 	s.retire(j)
+}
+
+// runGuarded runs j's scenario on the calling worker, converting a
+// panic into an error that carries the stack: one faulty simulation
+// fails its own job instead of killing the daemon and its backlog.
+func runGuarded(j *job, e experiments.Entry) (err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("service: scenario %q panicked: %v\n%s", j.spec.Scenario, r, debug.Stack())
+		}
+	}()
+	return e.Run(j.ctx, j.spec.Params(), j.out)
 }
 
 // retire removes a terminal job from the singleflight index.
