@@ -268,7 +268,9 @@ func BenchmarkAblationDCQCN(b *testing.B) {
 	run := func(dcqcn bool) int64 {
 		cfg := netsim.DefaultConfig()
 		cfg.ECN = true
-		cfg.DCQCN = dcqcn
+		if dcqcn {
+			cfg.CC = netsim.CCDCQCN
+		}
 		net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), cfg, nil, false)
 		if err != nil {
 			b.Fatal(err)

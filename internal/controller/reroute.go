@@ -1,127 +1,142 @@
 package controller
 
-// Rerouter is the reactive controller's failure-handling loop: it
-// observes fault events on a running fabric (a faults.Observer), waits
-// the modelled detection + recompute + install latency, and then
-// patches the live route set around the outage — the routing repair of
-// §V-2's reactive flow setup applied to failures instead of new flows.
+// Rerouter is the one owner of a run's mid-run fabric mutations: the
+// live route set the fabric forwards on and the down-state of every
+// link and switch. Both mutation sources drive it — fault schedules
+// (faults.Bind) and live reconfiguration drains (reconfig.Reconfigurer)
+// — and it reports into the run's one telemetry.RecoveryTracker.
 //
-// The repair is routing.RepairAvoiding: destinations whose original
-// strategy tree forwards into a dead element are rerouted over
-// single-VC shortest paths on the surviving subgraph; healthy
-// destinations keep their strategy rules, and recovered elements
-// restore the original rules for the destinations they had broken. The
-// live Routes object is mutated in place (ReplaceRules), so the
-// fabric's RouteForwarder — which re-fetches the memoized FIB on every
-// Forward — recompiles the fast path once, on the first packet after
-// the repair lands.
+// Element state is held per source: a link or switch is down while any
+// source holds it down (a fault, or a reconfiguration drain), and the
+// fabric (netsim.Network.SetLinkDown/SetSwitchDown) sees a call only
+// when that held state changes. A fault's LinkUp therefore does not
+// revive a link a transition is draining, and a transition's restore
+// does not revive a link a fault still holds.
 //
-// The live route set MUST be private to the run (routing.Routes.Clone
-// in the fault-run setup): repairs mutate it mid-simulation, and a
-// rule set shared with concurrent runs would race.
+// Every repair is the same operation: routing.RepairAvoiding of the
+// original strategy rules around everything down now, swapped live
+// with ReplaceRules (skipped when nothing changes) — destinations whose
+// original tree forwards into a dead element move to single-VC
+// shortest paths on the surviving subgraph, healthy destinations keep
+// their strategy rules, and with nothing down the original rules come
+// back exactly. The fabric's RouteForwarder re-fetches the memoized
+// FIB on every Forward, so the fast path recompiles once, on the first
+// packet after a repair lands — the routing repair of §V-2's reactive
+// flow setup applied to failures and drains instead of new flows.
 
 import (
-	"repro/internal/faults"
+	"errors"
+
 	"repro/internal/netsim"
 	"repro/internal/routing"
-	"repro/internal/topology"
+	"repro/internal/telemetry"
 )
 
-// Repair records one executed route repair.
-type Repair struct {
-	// FaultAt is the simulated time of the triggering fault event.
-	FaultAt netsim.Time
-	// At is the simulated time the repaired routes went live.
-	At netsim.Time
-	// RulesChanged is the route churn: rules added plus rules removed
-	// versus the rule set live before this repair.
-	RulesChanged int
-	// PatchedDsts is how many destinations run on repair (shortest-
-	// path) routes after this repair.
-	PatchedDsts int
+// Source identifies who holds an element down.
+type Source uint8
+
+// Mutation sources.
+const (
+	// FaultHold is a fault schedule's hold.
+	FaultHold Source = 1 << iota
+	// DrainHold is a reconfiguration transition's drain.
+	DrainHold
+)
+
+// element keys one link (edge ID) or switch (vertex ID).
+type element struct {
+	link bool
+	id   int
 }
 
-// Rerouter repairs a live route set as faults arrive. Create with
-// NewRerouter and register it as a faults.Bind observer. All methods
-// run inside the engine thread.
+// Rerouter owns one run's live routes and element down-state. Create
+// with NewRerouter before the simulation starts; every method runs
+// inside the engine thread.
 type Rerouter struct {
-	// Latency is the detection→install delay between a fault event and
-	// its repair going live.
-	Latency netsim.Time
-	// OnRepair, when set, observes each executed repair (the recovery
-	// tracker hooks reconvergence measurement here).
-	OnRepair func(rep Repair)
+	// Net is the fabric being mutated.
+	Net *netsim.Network
+	// Tracker records faults, repairs and transitions for the run
+	// result.
+	Tracker *telemetry.RecoveryTracker
 
-	topo *topology.Graph
-	live *routing.Routes // mutated in place; private to the run
-	orig []routing.Rule  // the strategy's rules, the repair baseline
-	down routing.Outage
-	// repairs executed, in order.
-	Repairs []Repair
+	orig *routing.Routes // the strategy's route set: the repair baseline, never mutated
+	live *routing.Routes // the run-private clone the fabric forwards on
+	held map[element]Source
+	down routing.Outage // elements with at least one holder
 }
 
-// NewRerouter builds a repair loop over a run-private route set.
-func NewRerouter(g *topology.Graph, live *routing.Routes, latency netsim.Time) *Rerouter {
+// NewRerouter takes ownership of a fabric's forwarding state: it gives
+// the network a run-private clone of its route set (repairs mutate it
+// mid-run, and the original may be shared with SDT deployments and
+// sweep siblings) and a fresh recovery tracker.
+func NewRerouter(net *netsim.Network) (*Rerouter, error) {
+	rf, ok := net.Fwd.(netsim.RouteForwarder)
+	if !ok {
+		return nil, errors.New("controller: mid-run fabric mutation needs a route-forwarded fabric")
+	}
+	live := rf.Routes.Clone()
+	live.Prime()
+	net.Fwd = netsim.NewRouteForwarder(live)
 	return &Rerouter{
-		Latency: latency,
-		topo:    g,
+		Net:     net,
+		Tracker: telemetry.NewRecoveryTracker(net),
+		orig:    rf.Routes,
 		live:    live,
-		orig:    append([]routing.Rule(nil), live.Rules...),
-		down: routing.Outage{
-			Edge:   map[int]bool{},
-			Switch: map[int]bool{},
-		},
+		held:    map[element]Source{},
+		down:    routing.Outage{Edge: map[int]bool{}, Switch: map[int]bool{}},
+	}, nil
+}
+
+// SetLinkDown holds (down) or releases logical edge e on behalf of src.
+func (r *Rerouter) SetLinkDown(src Source, e int, down bool) {
+	if r.hold(element{true, e}, src, down) {
+		setDown(r.down.Edge, e, down)
+		r.Net.SetLinkDown(e, down)
 	}
 }
 
-// OnFault implements faults.Observer: it updates the outage view
-// immediately (the controller's port-status notification) and arms the
-// repair after the modelled latency.
-func (r *Rerouter) OnFault(net *netsim.Network, ev faults.Event) {
-	switch ev.Kind {
-	case faults.LinkDown:
-		r.down.Edge[ev.Elem] = true
-	case faults.LinkUp:
-		delete(r.down.Edge, ev.Elem)
-	case faults.SwitchDown:
-		r.down.Switch[ev.Elem] = true
-	case faults.SwitchUp:
-		delete(r.down.Switch, ev.Elem)
-	}
-	faultAt := net.Sim.Now()
-	net.Sim.After(r.Latency, func() { r.repair(net, faultAt) })
-}
-
-// repair recomputes the patched rule set against the outage as of now
-// (later faults already folded in are simply re-confirmed with zero
-// churn) and swaps it live.
-func (r *Rerouter) repair(net *netsim.Network, faultAt netsim.Time) {
-	base := &routing.Routes{Topo: r.topo, Strategy: r.live.Strategy, NumVCs: r.live.NumVCs, Rules: r.orig}
-	rules, patched := routing.RepairAvoiding(base, r.down)
-	rep := Repair{
-		FaultAt:      faultAt,
-		At:           net.Sim.Now(),
-		RulesChanged: ruleChurn(r.live.Rules, rules),
-		PatchedDsts:  len(patched),
-	}
-	r.live.ReplaceRules(append([]routing.Rule(nil), rules...))
-	r.Repairs = append(r.Repairs, rep)
-	if r.OnRepair != nil {
-		r.OnRepair(rep)
+// SetSwitchDown holds (down) or releases switch vertex v on behalf of
+// src.
+func (r *Rerouter) SetSwitchDown(src Source, v int, down bool) {
+	if r.hold(element{false, v}, src, down) {
+		setDown(r.down.Switch, v, down)
+		r.Net.SetSwitchDown(v, down)
 	}
 }
 
-// TotalChurn sums rule changes across every executed repair.
-func (r *Rerouter) TotalChurn() int {
-	n := 0
-	for _, rep := range r.Repairs {
-		n += rep.RulesChanged
+// hold updates src's hold on el and reports whether the element's
+// down-state (any holder) changed.
+func (r *Rerouter) hold(el element, src Source, down bool) bool {
+	was := r.held[el]
+	now := was &^ src
+	if down {
+		now |= src
 	}
-	return n
+	if now == 0 {
+		delete(r.held, el)
+	} else {
+		r.held[el] = now
+	}
+	return (was == 0) != (now == 0)
 }
 
-// ruleChurn counts the flow-mods moving the fabric from old to new
-// (routing.Churn; kept as a local name for the call sites above).
-func ruleChurn(old, new []routing.Rule) int {
-	return routing.Churn(old, new)
+// setDown maintains one outage map: present exactly while down.
+func setDown(m map[int]bool, id int, down bool) {
+	if down {
+		m[id] = true
+	} else {
+		delete(m, id)
+	}
+}
+
+// Repair patches the live routes around everything down now and
+// returns the churn: rules added plus rules removed versus the rule set
+// live before.
+func (r *Rerouter) Repair() int {
+	rules, _ := routing.RepairAvoiding(r.orig, r.down)
+	churn := routing.Churn(r.live.Rules, rules)
+	if churn != 0 {
+		r.live.ReplaceRules(append([]routing.Rule(nil), rules...))
+	}
+	return churn
 }

@@ -16,7 +16,6 @@
 package core
 
 import (
-	"context"
 	"time"
 
 	"repro/internal/controller"
@@ -25,7 +24,6 @@ import (
 	"repro/internal/routing"
 	"repro/internal/telemetry"
 	"repro/internal/topology"
-	"repro/internal/workload"
 )
 
 // Mode selects the evaluation platform.
@@ -95,21 +93,21 @@ type RunResult struct {
 	Drops, Pauses, EcnMarks int64
 	Events                  int64
 
-	// Fault-run results (zero / nil unless the scenario carried a
-	// faults.Spec).
+	// Fabric-mutation results (zero / nil unless the scenario carried a
+	// faults.Spec or a reconfig.Spec).
 	//
-	// FaultDrops counts packets lost to dead links and switches.
+	// FaultDrops counts packets lost to dead links and switches —
+	// faulted and drained alike: both report from the one counter.
 	FaultDrops int64
 	// Incomplete counts open-loop flows that never finished (packet
-	// loss is non-fatal for Flows scenarios under faults; ACT then
-	// reports the last completed flow).
+	// loss is non-fatal for Flows scenarios that mutate the fabric; ACT
+	// then reports the last completed flow).
 	Incomplete int
-	// Recovery carries the per-fault repair and reconvergence metrics.
+	// Recovery carries the per-fault repair and reconvergence metrics
+	// (nil unless the scenario carried faults).
 	Recovery *telemetry.Recovery
-	// Reconfig carries the per-transition protocol telemetry for runs
-	// whose scenario scheduled live topology transitions (nil
-	// otherwise). FaultDrops and Incomplete above then count the drain
-	// windows' losses.
+	// Reconfig carries the per-transition protocol telemetry (nil
+	// unless the scenario scheduled live topology transitions).
 	Reconfig *telemetry.ReconfigReport
 
 	// Shards is the effective intra-run shard count the simulation
@@ -179,25 +177,13 @@ func (tb *Testbed) forwarder(g *topology.Graph, strat routing.Strategy, mode Mod
 
 // ensureDeployment returns the live SDT deployment for g, deploying it
 // first if needed. Deploying mutates the controller, so this must not
-// run concurrently — RunBatch primes deployments serially before its
+// run concurrently — Sweep primes deployments serially before its
 // fan-out.
 func (tb *Testbed) ensureDeployment(g *topology.Graph, strat routing.Strategy) (*controller.Deployment, error) {
 	if dep := tb.Ctl.Deployment(g.Name); dep != nil {
 		return dep, nil
 	}
 	return tb.Ctl.Deploy(g, controller.Options{Strategy: strat})
-}
-
-// RunTrace executes a workload trace on topology g in the given mode.
-// The trace's ranks are placed on the first len hosts (or the given
-// subset), mirroring the paper's "randomly select the nodes but keep
-// the same among all the evaluations".
-//
-// Deprecated: RunTrace is the positional, pre-context API. Use Run
-// with a Scenario (and options) instead; RunTrace remains as a thin
-// wrapper and produces identical results.
-func (tb *Testbed) RunTrace(g *topology.Graph, tr *workload.Trace, hosts []int, mode Mode) (*RunResult, error) {
-	return Run(context.Background(), tb, Scenario{Topo: g, Trace: tr, Hosts: hosts, Mode: mode})
 }
 
 // PickSpread deterministically selects n hosts spread across the list

@@ -123,7 +123,7 @@ func TestFlowFidelityValidation(t *testing.T) {
 			"flow fidelity cannot inject faults"},
 		{"reconfig", Scenario{Topo: g, Flows: gen(), Fidelity: Flow,
 			Reconfig: &reconfig.Spec{}}, nil,
-			"flow fidelity cannot reconfigure"},
+			"flow fidelity cannot inject faults or reconfigure"},
 		{"sdt", Scenario{Topo: g, Flows: gen(), Mode: SDT, Fidelity: Flow}, nil,
 			"flow fidelity does not model SDT"},
 		{"observer", Scenario{Topo: g, Flows: gen(), Fidelity: Flow}, []Option{

@@ -31,11 +31,8 @@ func runFlowScenario(ctx context.Context, sc Scenario, cfg *runConfig, hosts []i
 	if sc.Trace != nil {
 		return nil, errors.New("core: flow fidelity requires an open-loop Flows scenario, not a Trace (closed-loop replay has no fluid equivalent)")
 	}
-	if sc.Faults != nil {
-		return nil, errors.New("core: flow fidelity cannot inject faults (packet loss has no fluid equivalent); run at packet fidelity")
-	}
-	if sc.Reconfig != nil {
-		return nil, errors.New("core: flow fidelity cannot reconfigure topology mid-run; run at packet fidelity")
+	if sc.mutatesFabric() {
+		return nil, errors.New("core: flow fidelity cannot inject faults or reconfigure topology mid-run (packet loss has no fluid equivalent); run at packet fidelity")
 	}
 	if sc.Mode == SDT {
 		return nil, errors.New("core: flow fidelity does not model SDT projection (crossbar sharing and per-hop overhead are packet-level); use FullTestbed or Simulator mode")

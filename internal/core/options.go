@@ -88,17 +88,24 @@ type Scenario struct {
 	Faults *faults.Spec
 	// Reconfig schedules live topology transitions during the run: each
 	// one executes the staged drain→transition→reconverge protocol
-	// (internal/reconfig) against a run-private projection allocation
-	// and route clone — affected links drain with PFC unwind, the
-	// target is projected/checked/compiled at the control plane with
+	// (internal/reconfig) against a run-private projection allocation —
+	// affected links drain with PFC unwind, the target is
+	// projected/checked/compiled at the control plane with
 	// abort-to-rollback on any failure, and the run result's Reconfig
 	// report carries packets lost, reconvergence time, rule churn, and
 	// the costmodel downtime/price columns. Nil (the default) changes
 	// nothing: a transition-free run is byte-identical to one built
 	// before the subsystem existed, and an empty spec schedules no
-	// stages. Mutually exclusive with Faults (both swap the live route
-	// set mid-run). Packet loss inside transition windows is tolerated
-	// only for open-loop Flows scenarios, exactly as under Faults.
+	// stages. Packet loss inside transition windows is tolerated only
+	// for open-loop Flows scenarios, exactly as under Faults.
+	//
+	// Faults and Reconfig compose: both drive the run's one fabric
+	// owner (controller.Rerouter), which holds each element down while
+	// any source — a fault or a drain — holds it, and repairs the one
+	// run-private route set around everything down. In a combined run
+	// Recovery.PacketsLost and each transition's loss window read the
+	// same fault-drop counter, so drain losses and fault losses inside
+	// one window are not told apart.
 	Reconfig *reconfig.Spec
 	// Shards splits this run across k parallel engines under the
 	// conservative executor (internal/shard): the topology is
@@ -109,8 +116,8 @@ type Scenario struct {
 	// serial engine; different shard counts are distinct deterministic
 	// schedules (K is part of the determinism key). Runs that need
 	// whole-fabric mutation or observation fall back to serial
-	// automatically: fault injection, SDT projection (shared
-	// crossbars), Tick observers (including WithTelemetry), and
+	// automatically: faults or live reconfiguration, SDT projection
+	// (shared crossbars), Tick observers (including WithTelemetry), and
 	// zero-propagation-delay fabrics. WithShards overrides this field.
 	Shards int
 	// Fidelity selects packet-level simulation (the zero value) or the
@@ -118,6 +125,12 @@ type Scenario struct {
 	// contract. WithFidelity overrides this field.
 	Fidelity Fidelity
 }
+
+// mutatesFabric reports whether the scenario changes link, switch or
+// route state mid-run (faults, live reconfiguration, or both) — the
+// one predicate shard eligibility, flow fidelity and the incomplete-run
+// tolerance read.
+func (sc *Scenario) mutatesFabric() bool { return sc.Faults != nil || sc.Reconfig != nil }
 
 // Hooks observes one run's lifecycle. Any field may be nil. Tick fires
 // every Period of simulated time while the workload is still running
@@ -186,10 +199,10 @@ func WithObserver(h Hooks) Option {
 
 // WithTelemetry attaches a telemetry collector as a run observer: the
 // collector samples the network's link counters every collector period
-// of simulated time while the workload runs — replacing the manual
-// Arm/Collect wiring. A collector is safe to share across the runs of
-// a Sweep (it keeps per-network counter baselines and is
-// mutex-guarded); its series are then a sweep-wide aggregate.
+// of simulated time while the workload runs. A collector is safe to
+// share across the runs of a Sweep (it keeps per-network counter
+// baselines and is mutex-guarded); its series are then a sweep-wide
+// aggregate.
 func WithTelemetry(col *telemetry.Collector) Option {
 	return WithObserver(Hooks{
 		Period: col.Period,

@@ -7,9 +7,11 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
+	"repro/internal/partition"
 	"repro/internal/projection"
 	"repro/internal/reconfig"
 	"repro/internal/topology"
@@ -250,14 +252,142 @@ func TestReconfigRollbackUnderTraffic(t *testing.T) {
 	}
 }
 
-// TestFaultsReconfigMutuallyExclusive: both subsystems swap the live
-// route set mid-run, so a scenario carrying both is rejected up front.
-func TestFaultsReconfigMutuallyExclusive(t *testing.T) {
-	tb, g, fs, spec := reconfigFixture(t, 1)
-	_, err := Run(context.Background(), tb, Scenario{
-		Topo: g, Flows: fs.Flows, Reconfig: spec, Faults: &faults.Spec{},
-	})
-	if err == nil || !strings.Contains(err.Error(), "cannot carry both") {
-		t.Fatalf("err = %v", err)
+// combinedFixture is reconfigFixture plus a fault on one of the
+// transition's drained links. upBeforeRestore selects the order: the
+// fault holds the link from before the drain until inside the install
+// window, or from inside the drain window until after the restore.
+// It returns the faulted edge and the stage.
+func combinedFixture(t *testing.T, upBeforeRestore bool) (*Testbed, Scenario, int, reconfig.Stage) {
+	t.Helper()
+	tb, g, fs, spec := reconfigFixture(t, 7)
+	// The drained set is a pure function of (spec, topology, cabling):
+	// resolve it once on a scratch fabric.
+	net, _, err := tb.Network(g, nil, FullTestbed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rr, err := controller.NewRerouter(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rc, err := reconfig.New(g, tb.Ctl.Cabling, rr, spec, partition.Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st := rc.Stages[0]
+	if len(st.Drained) == 0 {
+		t.Fatal("the transition drains no links")
+	}
+	edge := st.Drained[0]
+	down, up := st.DrainAt-(st.CommitAt-st.DrainAt)/2, st.CommitAt+(st.RestoreAt-st.CommitAt)/2
+	if !upBeforeRestore {
+		down, up = st.DrainAt+(st.CommitAt-st.DrainAt)/2, st.RestoreAt+(st.RestoreAt-st.CommitAt)/2
+	}
+	window := fs.Flows[len(fs.Flows)-1].Start
+	sc := Scenario{Topo: g, Flows: fs.Flows, Reconfig: spec, Faults: &faults.Spec{
+		Events: []faults.Event{
+			{At: down, Kind: faults.LinkDown, Elem: edge},
+			{At: up, Kind: faults.LinkUp, Elem: edge},
+		},
+		RepairLatency: window / 32,
+	}}
+	return tb, sc, edge, st
+}
+
+// combinedDigest renders a combined run: counters, both reports'
+// Format output, and the per-record fields Format rounds away.
+func combinedDigest(res *RunResult) string {
+	var b strings.Builder
+	res.Recovery.Format(&b)
+	res.Reconfig.Format(&b)
+	return recoveryDigest(res) + reconfigDigest(res) + b.String()
+}
+
+// TestFaultsDuringReconfig: a scenario carrying both a transition and
+// a fault on one of its drained links runs, with the per-source state
+// rule holding at every boundary — a fault's LinkUp does not revive a
+// link the transition is draining, and the transition's restore does
+// not revive a link the fault still holds — both reports filled in, and
+// Run and a two-worker Sweep agreeing byte for byte.
+func TestFaultsDuringReconfig(t *testing.T) {
+	for _, upBeforeRestore := range []bool{true, false} {
+		tb, sc, edge, st := combinedFixture(t, upBeforeRestore)
+		fd, fu := sc.Faults.Events[0].At, sc.Faults.Events[1].At
+		// Probes one picosecond after each boundary: want the link's
+		// down-state there.
+		type probe struct {
+			at   netsim.Time
+			down bool
+		}
+		probes := []probe{{fd + 1, true}, {st.DrainAt + 1, true}, {st.CommitAt + 1, true}}
+		if upBeforeRestore {
+			// The fault's up lands first: the drain still holds the link.
+			probes = append(probes, probe{fu + 1, true}, probe{st.RestoreAt + 1, false})
+		} else {
+			// The restore lands first: the fault still holds the link.
+			probes = append(probes, probe{st.RestoreAt + 1, true}, probe{fu + 1, false})
+		}
+		checked := 0
+		res, err := Run(context.Background(), tb, sc, WithObserver(Hooks{
+			Start: func(net *netsim.Network, _ Scenario) {
+				for _, p := range probes {
+					p := p
+					net.Sim.At(p.at, func() {
+						checked++
+						if got := net.LinkIsDown(edge); got != p.down {
+							t.Errorf("upBeforeRestore=%v: link %d down=%v at %dps, want %v",
+								upBeforeRestore, edge, got, p.at, p.down)
+						}
+					})
+				}
+			},
+		}))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if checked != len(probes) {
+			t.Fatalf("upBeforeRestore=%v: %d/%d probes ran", upBeforeRestore, checked, len(probes))
+		}
+		if res.Recovery == nil || len(res.Recovery.Events) != 2 || res.Reconfig == nil || len(res.Reconfig.Transitions) != 1 {
+			t.Fatalf("upBeforeRestore=%v: reports recovery=%+v reconfig=%+v", upBeforeRestore, res.Recovery, res.Reconfig)
+		}
+		for _, e := range res.Recovery.Events {
+			if e.RepairAt < 0 {
+				t.Fatalf("upBeforeRestore=%v: fault %s never repaired", upBeforeRestore, e.Desc)
+			}
+		}
+		if e := &res.Reconfig.Transitions[0]; !e.Committed || e.RestoreAt != st.RestoreAt {
+			t.Fatalf("upBeforeRestore=%v: transition %+v", upBeforeRestore, e)
+		}
+		if res.Recovery.PacketsLost != res.FaultDrops || res.Reconfig.PacketsLost != res.FaultDrops {
+			t.Fatalf("upBeforeRestore=%v: reports do not share the fault-drop counter", upBeforeRestore)
+		}
+	}
+
+	// Deterministic across execution paths: serial Runs and a two-worker
+	// Sweep over both orders print the same bytes.
+	var serial, jobs []string
+	var sweep []Job
+	for _, upBeforeRestore := range []bool{true, false} {
+		tb, sc, _, _ := combinedFixture(t, upBeforeRestore)
+		res, err := Run(context.Background(), tb, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		serial = append(serial, combinedDigest(res))
+		tb2, sc2, _, _ := combinedFixture(t, upBeforeRestore)
+		sweep = append(sweep, Job{TB: tb2, Scenario: sc2})
+	}
+	results, err := Sweep(context.Background(), sweep, WithWorkers(2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, res := range results {
+		jobs = append(jobs, combinedDigest(res))
+	}
+	for i := range serial {
+		if serial[i] != jobs[i] {
+			t.Fatalf("job %d: Sweep diverged from Run:\n%s\nvs\n%s", i, jobs[i], serial[i])
+		}
 	}
 }

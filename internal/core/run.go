@@ -16,6 +16,7 @@ import (
 	"repro/internal/controller"
 	"repro/internal/faults"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/reconfig"
 	"repro/internal/shard"
@@ -49,14 +50,13 @@ type Job struct {
 }
 
 // Sweep executes independent jobs one simulation per worker
-// (WithWorkers) and returns results in job order. It subsumes
-// RunBatch: SDT deployments and the lazy topology caches are primed
-// serially up front (deploying mutates the controller; a live
-// deployment is read-only), after which the simulations share only
-// read-only state. Cancelling the context stops in-flight simulations
+// (WithWorkers) and returns results in job order. SDT deployments and
+// the lazy topology caches are primed serially up front (deploying
+// mutates the controller; a live deployment is read-only), after which
+// the simulations share only read-only state. Cancelling the context stops in-flight simulations
 // mid-run and prevents new jobs from starting; Sweep then returns
-// ctx.Err(). As with RunBatch, Simulator-mode Wall/Eval columns
-// measure contended wall clock when workers > 1.
+// ctx.Err(). Simulator-mode Wall/Eval columns measure contended wall
+// clock when workers > 1.
 //
 // Cancellation contract: when Sweep returns an error after jobs have
 // started — cancellation included — it returns the PARTIAL results
@@ -97,7 +97,7 @@ func Sweep(ctx context.Context, jobs []Job, opts ...Option) ([]*RunResult, error
 		}
 	}
 	out := make([]*RunResult, len(jobs))
-	err := ForEach(ctx, cfg.workers, len(jobs), func(i int) error {
+	err := par.For(ctx, cfg.workers, len(jobs), func(i int) error {
 		res, err := runScenario(ctx, jobs[i].TB, jobs[i].Scenario, cfg)
 		if err != nil {
 			return err
@@ -105,26 +105,10 @@ func Sweep(ctx context.Context, jobs []Job, opts ...Option) ([]*RunResult, error
 		out[i] = res
 		return nil
 	})
-	// Partial results survive an error: ForEach has joined every started
+	// Partial results survive an error: par.For has joined every started
 	// worker by now, so the slice is quiescent and out[i] != nil marks
 	// exactly the completed jobs.
 	return out, err
-}
-
-// ForEach is ParallelFor with cooperative cancellation: once ctx ends
-// no further job starts, and the context's error is returned. Jobs
-// already running are responsible for observing ctx themselves (Run
-// does, via the engine stop flag).
-func ForEach(ctx context.Context, workers, n int, job func(i int) error) error {
-	if ctx == nil || ctx.Done() == nil {
-		return ParallelFor(workers, n, job)
-	}
-	return ParallelFor(workers, n, func(i int) error {
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		return job(i)
-	})
 }
 
 // WatchCancel arms cooperative cancellation of a simulation on ctx:
@@ -166,10 +150,9 @@ func watchFlag(ctx context.Context, flag *atomic.Bool) func() {
 // scenario needs whole-fabric mutation or mid-run observation that the
 // conservative executor cannot shard:
 //
-//   - fault injection (SetLinkDown/SetSwitchDown touch links across
-//     shards, and the rerouter patches shared forwarding state mid-run),
-//   - live reconfiguration (transitions drain links across shards and
-//     swap the shared route set mid-run, exactly like faults),
+//   - fabric mutation — faults or live reconfiguration (the owner
+//     takes links and switches down across shards and patches the
+//     shared forwarding state mid-run),
 //   - SDT projection (sub-switches share physical crossbars),
 //   - Tick observers, WithTelemetry included (they read cross-shard
 //     state at simulated times the other shards haven't reached),
@@ -188,7 +171,7 @@ func effectiveShards(sc Scenario, cfg *runConfig, simCfg netsim.Config, g *topol
 	if k == 1 {
 		return 1
 	}
-	if sc.Faults != nil || sc.Reconfig != nil || sc.Mode == SDT || simCfg.PropDelay <= 0 {
+	if sc.mutatesFabric() || sc.Mode == SDT || simCfg.PropDelay <= 0 {
 		return 1
 	}
 	for _, h := range cfg.observers {
@@ -218,8 +201,7 @@ func scenarioWorkload(sc Scenario) (name string, ranks int) {
 	return fmt.Sprintf("flows[%d]", len(sc.Flows)), ranks
 }
 
-// runScenario is the one execution path under Run, Sweep, and the
-// deprecated RunTrace/RunBatch wrappers.
+// runScenario is the one execution path under Run and Sweep.
 func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) (*RunResult, error) {
 	// Options override scenario fields.
 	if cfg.hosts != nil {
@@ -245,11 +227,6 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	}
 	if tr != nil && sc.Flows != nil {
 		return nil, errors.New("core: scenario cannot carry both a Trace and Flows")
-	}
-	if sc.Faults != nil && sc.Reconfig != nil {
-		// Both subsystems clone and swap the live route set mid-run;
-		// their patches would silently overwrite each other.
-		return nil, errors.New("core: scenario cannot carry both Faults and Reconfig")
 	}
 	name, ranks := scenarioWorkload(sc)
 	hosts := sc.Hosts
@@ -304,11 +281,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	} else {
 		app = netsim.NewFlowApp(net, hosts[:ranks], sc.Flows, nil)
 	}
-	tracker, err := armFaults(net, sc, g)
-	if err != nil {
-		return nil, err
-	}
-	rcTracker, err := armReconfig(net, sc, g, tb)
+	tracker, err := armMutations(net, sc, tb)
 	if err != nil {
 		return nil, err
 	}
@@ -359,7 +332,7 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	incomplete := 0
 	if act < 0 {
 		fa, isFlows := app.(*netsim.FlowApp)
-		if (sc.Faults == nil && sc.Reconfig == nil) || !isFlows {
+		if !sc.mutatesFabric() || !isFlows {
 			return nil, fmt.Errorf("core: %s on %s (%s) did not complete: drops=%d faultdrops=%d",
 				name, g.Name, sc.Mode, drops, faultDrops)
 		}
@@ -375,11 +348,11 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 		Events: events, FaultDrops: faultDrops, Incomplete: incomplete,
 		Shards: shards,
 	}
-	if tracker != nil {
+	if sc.Faults != nil {
 		res.Recovery = tracker.Report(incomplete)
 	}
-	if rcTracker != nil {
-		res.Reconfig = rcTracker.ReconfigReport(incomplete)
+	if sc.Reconfig != nil {
+		res.Reconfig = tracker.ReconfigReport(incomplete)
 	}
 	switch sc.Mode {
 	case FullTestbed:
@@ -400,89 +373,37 @@ func runScenario(ctx context.Context, tb *Testbed, sc Scenario, cfg *runConfig) 
 	return res, nil
 }
 
-// armFaults expands and binds the scenario's fault schedule, if any:
-// the fabric degrades at each event, a Rerouter patches a run-private
-// clone of the route set after the spec's repair latency, and a
-// RecoveryTracker stamps fault/repair/reconvergence times. Returns nil
-// when the scenario carries no faults.
-func armFaults(net *netsim.Network, sc Scenario, g *topology.Graph) (*telemetry.RecoveryTracker, error) {
-	if sc.Faults == nil {
+// armMutations binds the scenario's mid-run fabric mutations, if any,
+// to one owner: a controller.Rerouter over a run-private clone of the
+// route set, driven by the fault schedule (faults.Bind) and by the
+// reconfiguration protocol (a Reconfigurer over a run-private
+// projection allocation drawn from the testbed controller's cabling).
+// Faults bind first, so at equal times fault events fire before stage
+// events. Returns the owner's tracker, or nil when the scenario does
+// not mutate the fabric.
+func armMutations(net *netsim.Network, sc Scenario, tb *Testbed) (*telemetry.RecoveryTracker, error) {
+	if !sc.mutatesFabric() {
 		return nil, nil
 	}
-	sched, err := sc.Faults.Schedule(g)
+	rr, err := controller.NewRerouter(net)
 	if err != nil {
 		return nil, err
 	}
-	tracker := telemetry.NewRecoveryTracker(net)
-	obs := []faults.Observer{faults.ObserverFunc(func(n *netsim.Network, ev faults.Event) {
-		tracker.Fault(n.Sim.Now(), ev.String())
-	})}
-	if lat := sc.Faults.Repair(); lat >= 0 {
-		if rf, ok := net.Fwd.(netsim.RouteForwarder); ok {
-			// Repairs mutate the route set mid-run; give this run its
-			// own copy so SDT deployments and sweep siblings sharing
-			// the original stay untouched.
-			live := rf.Routes.Clone()
-			live.Prime()
-			net.Fwd = netsim.NewRouteForwarder(live)
-			rr := controller.NewRerouter(g, live, lat)
-			rr.OnRepair = func(rep controller.Repair) { tracker.Repaired(rep.At, rep.RulesChanged) }
-			obs = append(obs, rr)
+	if sc.Faults != nil {
+		sched, err := sc.Faults.Schedule(sc.Topo)
+		if err != nil {
+			return nil, err
 		}
+		faults.Bind(rr, sched, sc.Faults.Repair())
 	}
-	faults.Bind(net, sched, obs...)
-	return tracker, nil
-}
-
-// armReconfig builds and binds the scenario's reconfiguration
-// schedule, if any: a Reconfigurer over a run-private projection
-// allocation (drawn from the testbed controller's cabling) and a
-// run-private clone of the route set, with a RecoveryTracker wired to
-// every stage hook so the run result carries the per-transition
-// protocol telemetry. Returns nil when the scenario schedules no
-// transitions.
-func armReconfig(net *netsim.Network, sc Scenario, g *topology.Graph, tb *Testbed) (*telemetry.RecoveryTracker, error) {
-	if sc.Reconfig == nil {
-		return nil, nil
+	if sc.Reconfig != nil {
+		rc, err := reconfig.New(sc.Topo, tb.Ctl.Cabling, rr, sc.Reconfig, partition.Options{})
+		if err != nil {
+			return nil, err
+		}
+		rc.Bind()
 	}
-	rf, ok := net.Fwd.(netsim.RouteForwarder)
-	if !ok {
-		return nil, errors.New("core: reconfiguration needs a route-forwarded fabric")
-	}
-	// Patch and restore mutate the route set mid-run; give this run its
-	// own copy so SDT deployments and sweep siblings sharing the
-	// original stay untouched (same contract as armFaults).
-	live := rf.Routes.Clone()
-	live.Prime()
-	net.Fwd = netsim.NewRouteForwarder(live)
-	rc, err := reconfig.New(g, tb.Ctl.Cabling, live, sc.Reconfig, partition.Options{})
-	if err != nil {
-		return nil, err
-	}
-	tracker := telemetry.NewRecoveryTracker(net)
-	// rec maps the reconfigurer's stage index to the tracker's record
-	// index (rejected stages record out of band, so they differ).
-	rec := make([]int, len(rc.Stages))
-	rc.OnDrain = func(now netsim.Time, i int, drained []int) {
-		rec[i] = tracker.TransitionDrain(now, rc.Stages[i].Desc, len(drained))
-	}
-	rc.OnReject = func(now netsim.Time, i int, reason string) {
-		tracker.TransitionReject(now, rc.Stages[i].Desc, reason)
-	}
-	rc.OnPatch = func(now netsim.Time, i int, churn int) {
-		tracker.TransitionPatch(rec[i], now, churn)
-	}
-	rc.OnCommit = func(now netsim.Time, i int, entries int, reconfigTime time.Duration, hwCost float64) {
-		tracker.TransitionCommit(rec[i], now, entries, reconfigTime, hwCost)
-	}
-	rc.OnRollback = func(now netsim.Time, i int, reason string) {
-		tracker.TransitionRollback(rec[i], now, reason)
-	}
-	rc.OnRestore = func(now netsim.Time, i int, churn int) {
-		tracker.TransitionRestore(rec[i], now, churn)
-	}
-	rc.Bind(net)
-	return tracker, nil
+	return rr.Tracker, nil
 }
 
 // armTicks schedules each observer's periodic Tick inside the

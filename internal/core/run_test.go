@@ -13,36 +13,6 @@ import (
 	"repro/internal/workload"
 )
 
-// TestRunMatchesRunTrace pins the compatibility contract: the
-// deprecated RunTrace wrapper and the Scenario-based Run produce
-// identical results in every mode.
-func TestRunMatchesRunTrace(t *testing.T) {
-	g := topology.FatTree(4)
-	tr := workload.Alltoall(6, 32*1024, 2)
-	mk := func() *Testbed {
-		tb, err := PaperTestbed([]*topology.Graph{g})
-		if err != nil {
-			t.Fatal(err)
-		}
-		return tb
-	}
-	tbA, tbB := mk(), mk()
-	for _, mode := range []Mode{FullTestbed, SDT, Simulator} {
-		old, err := tbA.RunTrace(g, tr, nil, mode)
-		if err != nil {
-			t.Fatal(err)
-		}
-		now, err := Run(context.Background(), tbB, Scenario{Topo: g, Trace: tr, Mode: mode})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if old.ACT != now.ACT || old.Drops != now.Drops || old.Deploy != now.Deploy ||
-			old.Events != now.Events || old.EcnMarks != now.EcnMarks || old.Pauses != now.Pauses {
-			t.Errorf("%s: RunTrace %+v != Run %+v", mode, old, now)
-		}
-	}
-}
-
 // TestRunCancelledBeforeStart: a context that is already done yields
 // ctx.Err() without simulating anything.
 func TestRunCancelledBeforeStart(t *testing.T) {
@@ -139,11 +109,18 @@ func TestSweepCancelled(t *testing.T) {
 	}
 }
 
-// TestSweepMatchesRunBatch pins that the deprecated batch API and
-// Sweep agree result for result.
-func TestSweepMatchesRunBatch(t *testing.T) {
-	g := topology.Torus2D(4, 4, 1)
-	tr := workload.Alltoall(4, 16*1024, 2)
+// TestSweepMatchesSerialRuns checks that Sweep produces the same
+// deterministic results as direct serial Run calls, at several worker
+// counts and across all three modes.
+func TestSweepMatchesSerialRuns(t *testing.T) {
+	g := topology.FatTree(4)
+	tr := workload.Alltoall(6, 32*1024, 2)
+	scenarios := []Scenario{
+		{Topo: g, Trace: tr, Mode: FullTestbed},
+		{Topo: g, Trace: tr, Mode: SDT},
+		{Topo: g, Trace: tr, Mode: Simulator},
+		{Topo: g, Trace: tr, Mode: SDT},
+	}
 	mk := func() *Testbed {
 		tb, err := PaperTestbed([]*topology.Graph{g})
 		if err != nil {
@@ -151,26 +128,34 @@ func TestSweepMatchesRunBatch(t *testing.T) {
 		}
 		return tb
 	}
-	batchTB, sweepTB := mk(), mk()
-	traceJobs := []TraceJob{
-		{Topo: g, Trace: tr, Mode: FullTestbed},
-		{Topo: g, Trace: tr, Mode: SDT},
+	var want []*RunResult
+	tbRef := mk()
+	for _, sc := range scenarios {
+		r, err := Run(context.Background(), tbRef, sc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want = append(want, r)
 	}
-	old, err := batchTB.RunBatch(traceJobs, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	jobs := []Job{
-		{TB: sweepTB, Scenario: Scenario{Topo: g, Trace: tr, Mode: FullTestbed}},
-		{TB: sweepTB, Scenario: Scenario{Topo: g, Trace: tr, Mode: SDT}},
-	}
-	now, err := Sweep(context.Background(), jobs, WithWorkers(2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range old {
-		if old[i].ACT != now[i].ACT || old[i].Events != now[i].Events || old[i].Deploy != now[i].Deploy {
-			t.Errorf("job %d: RunBatch %+v != Sweep %+v", i, old[i], now[i])
+	for _, workers := range []int{1, 4} {
+		tb := mk()
+		jobs := make([]Job, len(scenarios))
+		for i, sc := range scenarios {
+			jobs[i] = Job{TB: tb, Scenario: sc}
+		}
+		got, err := Sweep(context.Background(), jobs, WithWorkers(workers))
+		if err != nil {
+			t.Fatalf("workers=%d: %v", workers, err)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("workers=%d: %d results", workers, len(got))
+		}
+		for i := range got {
+			if got[i].ACT != want[i].ACT || got[i].Mode != want[i].Mode ||
+				got[i].Drops != want[i].Drops || got[i].Deploy != want[i].Deploy ||
+				got[i].Events != want[i].Events {
+				t.Errorf("workers=%d job %d: got %+v, want %+v", workers, i, got[i], want[i])
+			}
 		}
 	}
 }
@@ -211,7 +196,7 @@ func TestRunSimConfigOverride(t *testing.T) {
 }
 
 // TestRunTelemetryObserver: WithTelemetry samples the fabric during
-// the run without the manual Arm/Collect wiring.
+// the run.
 func TestRunTelemetryObserver(t *testing.T) {
 	g := topology.FatTree(4)
 	tb, err := PaperTestbed([]*topology.Graph{g})

@@ -42,7 +42,6 @@ func ccConfig(policy string) netsim.Config {
 	cfg.CC = policy
 	if policy == netsim.CCDCQCN {
 		cfg.ECN = true
-		cfg.DCQCN = true
 	}
 	return cfg
 }

@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/routing"
 )
 
@@ -67,7 +68,7 @@ func Fig11(ctx context.Context, reps, workers int) (*Fig11Result, error) {
 	a, b := hosts[0], hosts[7]
 	lens := Fig11MsgLens()
 	points := make([]Fig11Point, len(lens))
-	err = core.ForEach(ctx, workers, len(lens), func(i int) error {
+	err = par.For(ctx, workers, len(lens), func(i int) error {
 		bytes := lens[i]
 		measure := func(mk func() (*netsim.Network, error)) (netsim.Time, error) {
 			n, err := mk()

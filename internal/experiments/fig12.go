@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/routing"
 )
 
@@ -64,7 +65,7 @@ func fig12Panels() []struct {
 func Fig12Panels(ctx context.Context, duration netsim.Time, workers int) ([]*Fig12Result, error) {
 	panels := fig12Panels()
 	out := make([]*Fig12Result, len(panels))
-	err := core.ForEach(ctx, workers, len(panels), func(i int) error {
+	err := par.For(ctx, workers, len(panels), func(i int) error {
 		r, err := Fig12(ctx, panels[i].Mode, panels[i].PFC, duration)
 		if err != nil {
 			return err

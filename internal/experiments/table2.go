@@ -6,8 +6,8 @@ import (
 	"io"
 	"time"
 
-	"repro/internal/core"
 	"repro/internal/costmodel"
+	"repro/internal/par"
 	"repro/internal/projection"
 	"repro/internal/routing"
 	"repro/internal/topology"
@@ -83,7 +83,7 @@ func Table2(ctx context.Context, zooSubset, workers int) (*Table2Result, error) 
 	methods := table2Methods()
 	coverage := make([]int, len(methods))
 	covered := make([][]bool, len(zoo))
-	err = core.ForEach(ctx, workers, len(zoo), func(i int) error {
+	err = par.For(ctx, workers, len(zoo), func(i int) error {
 		row := make([]bool, len(methods))
 		for mi, m := range methods {
 			row[mi] = projection.Projectable(zoo[i], spec, m, 3)

@@ -10,19 +10,19 @@
 // runs, platforms, and Go versions — the property the golden-output
 // regression harness and the any-worker-count determinism tests pin.
 //
-// Bind arms a schedule on a network: at each event's simulated time the
-// fabric state flips (netsim.Network.SetLinkDown/SetSwitchDown — dead
-// elements drop traversing packets into Network.FaultDrops), then every
-// registered Observer is notified inside the engine thread. The
-// reactive repair path (controller.Rerouter) and the recovery metrics
-// (telemetry.RecoveryTracker) are both observers; a spec with no
-// observers still degrades the fabric.
+// Bind arms a schedule on the run's fabric owner (controller.Rerouter):
+// at each event's simulated time the element's fault hold flips — dead
+// elements drop traversing packets into Network.FaultDrops — the
+// owner's telemetry.RecoveryTracker records the fault, and after the
+// spec's repair latency the owner patches the live routes around
+// everything down.
 package faults
 
 import (
 	"fmt"
 	"sort"
 
+	"repro/internal/controller"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
 	"repro/internal/topology"
@@ -156,9 +156,10 @@ func (s *Spec) Schedule(g *topology.Graph) ([]Event, error) {
 	if len(s.Flaps) > 0 && s.Horizon <= 0 {
 		return nil, fmt.Errorf("faults: flaps need a positive Horizon")
 	}
-	// An element's up/down state is a plain boolean, not a reference
-	// count: two independent sources driving the same element would let
-	// the earliest Up restore it while the other source still holds it
+	// A spec is one hold source on the fabric owner: its downs and ups
+	// on an element set and clear one flag, not a reference count, so
+	// two independent streams driving the same element would let the
+	// earliest Up restore it while the other stream still holds it
 	// down. One-shot sequences on one element are fine (they are a
 	// single ordered script); a flap must own its element exclusively.
 	type target struct {
@@ -254,44 +255,27 @@ func Digest(sched []Event) string {
 	return string(b)
 }
 
-// Observer is notified inside the engine thread immediately after a
-// fault event has taken effect on the fabric.
-type Observer interface {
-	OnFault(net *netsim.Network, ev Event)
-}
-
-// ObserverFunc adapts a function to Observer.
-type ObserverFunc func(net *netsim.Network, ev Event)
-
-// OnFault implements Observer.
-func (f ObserverFunc) OnFault(net *netsim.Network, ev Event) { f(net, ev) }
-
-// Bind arms a schedule on a network: each event flips the fabric state
-// at its simulated time and then notifies the observers in order. Call
-// before the simulation runs.
-func Bind(net *netsim.Network, sched []Event, obs ...Observer) {
+// Bind arms a schedule on a run's fabric owner: at each event's
+// simulated time the owner applies the state change under its fault
+// hold, the tracker records the fault, and — unless latency < 0
+// (repair disabled) — the owner repairs the live routes latency later
+// and the tracker stamps the repair. Call before the simulation runs.
+func Bind(rr *controller.Rerouter, sched []Event, latency netsim.Time) {
+	sim := rr.Net.Sim
 	for _, ev := range sched {
 		ev := ev
-		net.Sim.At(ev.At, func() {
-			apply(net, ev)
-			for _, o := range obs {
-				o.OnFault(net, ev)
+		sim.At(ev.At, func() {
+			switch ev.Kind {
+			case LinkDown, LinkUp:
+				rr.SetLinkDown(controller.FaultHold, ev.Elem, ev.Kind == LinkDown)
+			case SwitchDown, SwitchUp:
+				rr.SetSwitchDown(controller.FaultHold, ev.Elem, ev.Kind == SwitchDown)
+			}
+			rr.Tracker.Fault(sim.Now(), ev.String())
+			if latency >= 0 {
+				sim.After(latency, func() { rr.Tracker.Repaired(sim.Now(), rr.Repair()) })
 			}
 		})
-	}
-}
-
-// apply flips one element's state.
-func apply(net *netsim.Network, ev Event) {
-	switch ev.Kind {
-	case LinkDown:
-		net.SetLinkDown(ev.Elem, true)
-	case LinkUp:
-		net.SetLinkDown(ev.Elem, false)
-	case SwitchDown:
-		net.SetSwitchDown(ev.Elem, true)
-	case SwitchUp:
-		net.SetSwitchDown(ev.Elem, false)
 	}
 }
 

@@ -4,7 +4,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/controller"
 	"repro/internal/netsim"
+	"repro/internal/routing"
 	"repro/internal/topology"
 )
 
@@ -194,17 +196,24 @@ func TestBindDegradesFabric(t *testing.T) {
 	g.Connect(s2, h2)
 	core := g.EdgeBetween(s1, s2)
 
-	build := func() *netsim.Network {
-		cfg := netsim.DefaultConfig()
-		net, err := netsim.NewNetwork(g, lookupFwd{g}, cfg, nil, false)
+	routes, err := routing.ForTopology(g).Compute(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	build := func() (*netsim.Network, *controller.Rerouter) {
+		net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), netsim.DefaultConfig(), nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		return net
+		rr, err := controller.NewRerouter(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return net, rr
 	}
 
 	// Healthy run: the message arrives.
-	net := build()
+	net, _ := build()
 	done := false
 	net.Host(h2).Recv(h1, 1, func() { done = true })
 	net.Host(h1).Send(h2, 1, 32<<10)
@@ -214,18 +223,21 @@ func TestBindDegradesFabric(t *testing.T) {
 	}
 
 	// Cut the core link before any packet: everything fault-drops.
-	net = build()
-	var observed []Event
+	// Repair is disabled (latency < 0) so the routes stay stale and
+	// traffic keeps forwarding into the dead element.
+	net, rr := build()
 	sched, err := (&Spec{Events: []Event{{At: 0, Kind: LinkDown, Elem: core}}}).Schedule(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Bind(net, sched, ObserverFunc(func(n *netsim.Network, ev Event) {
-		observed = append(observed, ev)
-		if !n.LinkIsDown(core) {
-			t.Error("observer ran before the state flip")
+	Bind(rr, sched, -1)
+	// Same-time events fire in scheduling order: the probe runs after
+	// the fault event took effect.
+	net.Sim.At(0, func() {
+		if !net.LinkIsDown(core) {
+			t.Error("fault event did not flip the link")
 		}
-	}))
+	})
 	done = false
 	net.Host(h2).Recv(h1, 1, func() { done = true })
 	net.Host(h1).Send(h2, 1, 32<<10)
@@ -236,13 +248,14 @@ func TestBindDegradesFabric(t *testing.T) {
 	if net.FaultDrops == 0 {
 		t.Fatal("no fault drops counted")
 	}
-	if len(observed) != 1 || observed[0].Kind != LinkDown {
-		t.Fatalf("observer saw %v", observed)
+	if rec := rr.Tracker.Report(0); len(rec.Events) != 1 || rec.Events[0].Desc != sched[0].String() ||
+		rec.Events[0].RepairAt != -1 || rec.PacketsLost != net.FaultDrops {
+		t.Fatalf("tracker recorded %+v", rec)
 	}
 
 	// Down then up before traffic: delivery works and the counters stay
 	// clean.
-	net = build()
+	net, rr = build()
 	sched, err = (&Spec{Events: []Event{
 		{At: 0, Kind: LinkDown, Elem: core},
 		{At: netsim.Microsecond, Kind: LinkUp, Elem: core},
@@ -250,7 +263,7 @@ func TestBindDegradesFabric(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	Bind(net, sched)
+	Bind(rr, sched, -1)
 	done = false
 	net.Host(h2).Recv(h1, 1, func() { done = true })
 	net.Sim.At(2*netsim.Microsecond, func() { net.Host(h1).Send(h2, 1, 32<<10) })
@@ -260,12 +273,12 @@ func TestBindDegradesFabric(t *testing.T) {
 	}
 
 	// Switch death drops everything too.
-	net = build()
+	net, rr = build()
 	sched, err = (&Spec{Events: []Event{{At: 0, Kind: SwitchDown, Elem: s2}}}).Schedule(g)
 	if err != nil {
 		t.Fatal(err)
 	}
-	Bind(net, sched)
+	Bind(rr, sched, -1)
 	done = false
 	net.Host(h2).Recv(h1, 1, func() { done = true })
 	net.Host(h1).Send(h2, 1, 32<<10)
@@ -276,21 +289,4 @@ func TestBindDegradesFabric(t *testing.T) {
 	if !net.SwitchIsDown(s2) {
 		t.Fatal("switch not marked down")
 	}
-}
-
-// lookupFwd is a minimal shortest-path forwarder for the tiny fixture.
-type lookupFwd struct{ g *topology.Graph }
-
-func (f lookupFwd) Forward(sw, inPort int, pkt *netsim.Packet) (int, int, netsim.Time, bool) {
-	csr := f.g.CSR()
-	// Destination attached here?
-	if p := csr.PortTo(sw, pkt.Dst); p != 0 {
-		return p, pkt.Tag, 0, true
-	}
-	// One switch hop toward the destination's switch.
-	root := f.g.HostSwitch(pkt.Dst)
-	if p := csr.PortTo(sw, root); p != 0 {
-		return p, pkt.Tag, 0, true
-	}
-	return 0, 0, 0, false
 }

@@ -12,8 +12,8 @@ package netsim
 //     al., SIGCOMM'15): the receiver acks every data packet
 //     echoing its send timestamp, and the sender adjusts rate
 //     off the RTT gradient.
-//   - lineRateCC: no rate adaptation (legacy DCQCN-off behaviour, and
-//     the rate side of pFabric, whose congestion response is
+//   - lineRateCC: no rate adaptation (Config.CC empty, and the rate
+//     side of pFabric, whose congestion response is
 //     size-priority scheduling — see sizePrioClass).
 //
 // The rate laws proper (dcqcnState.increase/decrease, timelyCC.sample)
@@ -50,15 +50,10 @@ const (
 	ccPFabric
 )
 
-// ccKindOf resolves Config.CC, deferring to the legacy DCQCN flag when
-// the string knob is unset so existing configurations keep their exact
-// behaviour.
+// ccKindOf resolves Config.CC ("" = line rate).
 func ccKindOf(cfg *Config) (ccKind, error) {
 	switch cfg.CC {
 	case "":
-		if cfg.DCQCN {
-			return ccDCQCN, nil
-		}
 		return ccNone, nil
 	case CCDCQCN:
 		return ccDCQCN, nil

@@ -209,7 +209,9 @@ func TestDCQCNReducesPauses(t *testing.T) {
 		cfg := DefaultConfig()
 		cfg.PFC = true
 		cfg.ECN = true
-		cfg.DCQCN = dcqcn
+		if dcqcn {
+			cfg.CC = CCDCQCN
+		}
 		net, g := buildLine(t, 8, 1, cfg)
 		hosts := g.Hosts()
 		for i, h := range hosts {
@@ -420,7 +422,7 @@ func TestDeterminism(t *testing.T) {
 	run := func() (Time, int64) {
 		cfg := DefaultConfig()
 		cfg.ECN = true
-		cfg.DCQCN = true
+		cfg.CC = CCDCQCN
 		net, g := buildLine(t, 8, 1, cfg)
 		hosts := g.Hosts()
 		for i, h := range hosts {

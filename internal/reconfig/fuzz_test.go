@@ -6,8 +6,11 @@ package reconfig
 // leaving the system consistent — the resident plan passes Plan.Check,
 // and the run-private allocation books exactly that plan's resources:
 // nothing leaked by a Release, nothing double-booked by a rollback
-// re-Acquire. CI runs this as a smoke
-// (`go test -fuzz=FuzzReconfigPlan -fuzztime=10s`).
+// re-Acquire. An optional fault holds one of the first stage's drained
+// links down across part of the protocol (its up may land before or
+// after the restore): the fabric owner keeps the link down while either
+// source holds it, and the run must still end with every link up. CI
+// runs this as a smoke (`go test -fuzz=FuzzReconfigPlan -fuzztime=10s`).
 
 import (
 	"errors"
@@ -16,6 +19,8 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controller"
+	"repro/internal/faults"
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/projection"
@@ -53,12 +58,17 @@ func fuzzCabling(f *testing.F) *projection.Cabling {
 
 func FuzzReconfigPlan(f *testing.F) {
 	fuzzCabling(f)
-	f.Add(uint8(0), int64(netsim.Millisecond), int64(5*netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), false)
-	f.Add(uint8(1), int64(netsim.Millisecond), int64(0), int64(netsim.Microsecond), int64(netsim.Microsecond), int64(-1), int64(0), false)
-	f.Add(uint8(2), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), int64(0), true)
-	f.Add(uint8(0), int64(0), int64(-5), int64(-1), int64(7), int64(1<<40), int64(1), false)
-	f.Add(uint8(3), int64(netsim.Millisecond), int64(2*netsim.Millisecond), int64(0), int64(0), int64(0), int64(time.Millisecond), true)
-	f.Fuzz(func(t *testing.T, targetSel uint8, at1, at2, drain, install, patch, timeout int64, inject bool) {
+	f.Add(uint8(0), int64(netsim.Millisecond), int64(5*netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), false, uint8(0), uint32(0), uint32(0))
+	f.Add(uint8(1), int64(netsim.Millisecond), int64(0), int64(netsim.Microsecond), int64(netsim.Microsecond), int64(-1), int64(0), false, uint8(0), uint32(0), uint32(0))
+	f.Add(uint8(2), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), int64(0), true, uint8(0), uint32(0), uint32(0))
+	f.Add(uint8(0), int64(0), int64(-5), int64(-1), int64(7), int64(1<<40), int64(1), false, uint8(0), uint32(0), uint32(0))
+	f.Add(uint8(3), int64(netsim.Millisecond), int64(2*netsim.Millisecond), int64(0), int64(0), int64(0), int64(time.Millisecond), true, uint8(0), uint32(0), uint32(0))
+	// A fault on a drained link whose up lands inside the drain window
+	// (before the restore), and one whose up lands after it.
+	f.Add(uint8(0), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), int64(0), false, uint8(1), uint32(100_000), uint32(200_000))
+	f.Add(uint8(0), int64(netsim.Millisecond), int64(0), int64(0), int64(0), int64(0), int64(0), false, uint8(3), uint32(100_000), uint32(2_000_000))
+	f.Fuzz(func(t *testing.T, targetSel uint8, at1, at2, drain, install, patch, timeout int64, inject bool,
+		faultSel uint8, faultOffNs, faultDurNs uint32) {
 		g := topology.FatTree(4)
 		newTarget := func() *topology.Graph {
 			switch targetSel % 4 {
@@ -91,18 +101,32 @@ func FuzzReconfigPlan(f *testing.F) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		live := routes.Clone()
-		live.Prime()
-		net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(live), netsim.DefaultConfig(), nil, false)
+		net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), netsim.DefaultConfig(), nil, false)
 		if err != nil {
 			t.Fatal(err)
 		}
-		rc, err := New(g, fuzzCab, live, spec, partition.Options{})
+		rr, err := controller.NewRerouter(net)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rc, err := New(g, fuzzCab, rr, spec, partition.Options{})
 		if err != nil {
 			// Rejected before drain: the spec never touched anything.
 			return
 		}
-		rc.Bind(net)
+		rc.Bind()
+		if st := &rc.Stages[0]; faultSel > 0 && len(st.Drained) > 0 {
+			e := st.Drained[int(faultSel-1)%len(st.Drained)]
+			down := st.DrainAt + netsim.Time(faultOffNs)*netsim.Nanosecond
+			up := down + netsim.Time(faultDurNs)*netsim.Nanosecond + 1
+			sched, err := (&faults.Spec{Events: []faults.Event{
+				{At: down, Kind: faults.LinkDown, Elem: e},
+				{At: up, Kind: faults.LinkUp, Elem: e},
+			}}).Schedule(g)
+			if err == nil && up > down { // skip times that overflow
+				faults.Bind(rr, sched, faults.DefaultRepairLatency)
+			}
+		}
 		net.Sim.Run(0)
 
 		for i := range rc.Stages {

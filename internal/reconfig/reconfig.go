@@ -5,12 +5,10 @@
 // protocol against a running netsim fabric —
 //
 //  1. drain: the logical links of the running topology whose physical
-//     cables the incoming target will claim are marked down
-//     (netsim.Network.SetLinkDown — in-flight packets account as fault
-//     drops with PFC unwind), and after the spec's patch latency the
-//     controller swaps degraded routes around the drained set
-//     (routing.RepairAvoiding + ReplaceRules, invalidating the memoized
-//     FIB);
+//     cables the incoming target will claim are held down by the run's
+//     fabric owner (controller.Rerouter — in-flight packets account as
+//     fault drops with PFC unwind), and after the spec's patch latency
+//     the owner repairs the live routes around everything down;
 //  2. transition: the current plan is Released from the run's
 //     projection Allocation, the target is projected with
 //     projection.ProjectInto, verified with Plan.Check plus the
@@ -19,12 +17,15 @@
 //     reconfiguration downtime and hardware cost derived; any failure —
 //     projection, check, compile, or the modelled install time
 //     exceeding Spec.StageTimeout — aborts to rollback: the previous
-//     plan is re-Acquired, drained links restored, and the original
-//     rules swapped back, so the run completes on the old topology;
-//  3. reconverge: after the install window the drained links come back
-//     up and the full original rules are restored; the caller's hooks
-//     (wired to telemetry.RecoveryTracker by the core run loop) stamp
-//     packets lost, reconvergence time, and rule churn.
+//     plan is re-Acquired and the drain released at once, so the run
+//     completes on the old topology;
+//  3. reconverge: after the install window the drain is released and
+//     the owner repairs again — with nothing else down that restores
+//     the full original rules.
+//
+// Every stage boundary is stamped on the owner's
+// telemetry.RecoveryTracker: packets lost, reconvergence time, rule
+// churn, outcome, and cost columns.
 //
 // The evaluation fabric keeps executing the running topology's workload
 // throughout — the measured quantity is the *disruption* a transition
@@ -42,6 +43,7 @@ import (
 	"sort"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/costmodel"
 	"repro/internal/netsim"
 	"repro/internal/partition"
@@ -143,6 +145,8 @@ type Stage struct {
 	Entries      int
 	ReconfigTime time.Duration
 	HardwareCost float64
+
+	rec int // the tracker's record index, set at drain
 }
 
 // Schedule validates the spec's shape against the running topology and
@@ -209,7 +213,7 @@ func Digest(stages []Stage) string {
 }
 
 // Reconfigurer executes one spec's transitions against one running
-// fabric. Create with New, set the hooks, then Bind before the
+// fabric through its owner. Create with New, then Bind before the
 // simulation starts. All stage execution happens inside the engine
 // thread; the Reconfigurer owns a run-private Allocation over the
 // testbed's cabling, so concurrent sweep siblings never contend.
@@ -227,32 +231,20 @@ type Reconfigurer struct {
 	alloc *projection.Allocation
 	base  *projection.Plan // the running topology's plan: drain mapping + rollback target
 	cur   *projection.Plan // currently committed plan (base, or a committed target's)
-	live  *routing.Routes  // run-private; mutated by patch/restore
-	orig  []routing.Rule   // the strategy's full rules, the restore baseline
-
-	// Lifecycle hooks, all optional, called inside the engine thread.
-	// i indexes Stages.
-	OnDrain    func(now netsim.Time, i int, drained []int)
-	OnPatch    func(now netsim.Time, i int, churn int)
-	OnCommit   func(now netsim.Time, i int, entries int, reconfigTime time.Duration, hwCost float64)
-	OnRollback func(now netsim.Time, i int, reason string)
-	OnRestore  func(now netsim.Time, i int, churn int)
-	OnReject   func(now netsim.Time, i int, reason string)
+	rr    *controller.Rerouter
 }
 
 // New resolves a spec against the running topology g, the testbed's
-// cabling, and the run-private live route set. It projects g into a
+// cabling, and the run's fabric owner. It projects g into a
 // fresh allocation (the modelled current deployment), probes every
 // target's projection to compute the drained link sets, and rejects —
 // without error — transitions whose target cannot be projected at all:
 // those stages never touch the fabric. Schedule-shape problems (nil or
 // invalid targets, overlapping windows) are errors.
 //
-// live must be private to the run (routing.Routes.Clone): patch and
-// restore mutate it mid-simulation. Target graphs must not be shared
-// with concurrent runs either — projection and route compilation build
-// their lazy caches.
-func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec *Spec, opt partition.Options) (*Reconfigurer, error) {
+// Target graphs must not be shared with concurrent runs — projection
+// and route compilation build their lazy caches.
+func New(g *topology.Graph, cab *projection.Cabling, rr *controller.Rerouter, spec *Spec, opt partition.Options) (*Reconfigurer, error) {
 	stages, err := spec.Schedule(g)
 	if err != nil {
 		return nil, err
@@ -266,7 +258,7 @@ func New(g *topology.Graph, cab *projection.Cabling, live *routing.Routes, spec 
 		Spec: spec, Stages: stages,
 		g: g, cab: cab, opt: opt,
 		alloc: alloc, base: base, cur: base,
-		live: live, orig: append([]routing.Rule(nil), live.Rules...),
+		rr: rr,
 	}
 	for i := range r.Stages {
 		st := &r.Stages[i]
@@ -304,83 +296,61 @@ func drainSet(base, probe *projection.Plan) []int {
 	return out
 }
 
-// Bind arms the stage schedule on a network. Call before the simulation
-// runs. Rejected stages only notify OnReject at their drain time.
-func (r *Reconfigurer) Bind(net *netsim.Network) {
+// Bind arms the stage schedule on the owner's network. Call before the
+// simulation runs. Rejected stages only record the reject at their
+// drain time.
+func (r *Reconfigurer) Bind() {
+	sim := r.rr.Net.Sim
 	for i := range r.Stages {
-		i := i
 		st := &r.Stages[i]
 		if st.Outcome != "" {
-			net.Sim.At(st.DrainAt, func() {
-				if r.OnReject != nil {
-					r.OnReject(net.Sim.Now(), i, r.Stages[i].Outcome)
-				}
-			})
+			sim.At(st.DrainAt, func() { r.rr.Tracker.TransitionReject(sim.Now(), st.Desc, st.Outcome) })
 			continue
 		}
-		net.Sim.At(st.DrainAt, func() { r.drain(net, i) })
+		sim.At(st.DrainAt, func() { r.drain(st) })
 		if st.PatchAt >= 0 {
-			net.Sim.At(st.PatchAt, func() { r.patch(net, i) })
+			sim.At(st.PatchAt, func() { r.patch(st) })
 		}
-		net.Sim.At(st.CommitAt, func() { r.commit(net, i) })
+		sim.At(st.CommitAt, func() { r.commit(st) })
 	}
 }
 
-// drain takes the stage's link set down; in-flight packets on those
+// drain holds the stage's link set down; in-flight packets on those
 // links account as fault drops with PFC unwind.
-func (r *Reconfigurer) drain(net *netsim.Network, i int) {
-	st := &r.Stages[i]
+func (r *Reconfigurer) drain(st *Stage) {
 	for _, e := range st.Drained {
-		net.SetLinkDown(e, true)
+		r.rr.SetLinkDown(controller.DrainHold, e, true)
 	}
-	if r.OnDrain != nil {
-		r.OnDrain(net.Sim.Now(), i, st.Drained)
-	}
+	st.rec = r.rr.Tracker.TransitionDrain(r.rr.Net.Sim.Now(), st.Desc, len(st.Drained))
 }
 
-// patch swaps degraded routes around the drained set: destinations
-// whose trees ride drained links move to shortest paths on the
-// surviving subgraph, everything else keeps its strategy rules.
-func (r *Reconfigurer) patch(net *netsim.Network, i int) {
-	st := &r.Stages[i]
+// patch swaps degraded routes around everything down: destinations
+// whose trees ride drained (or faulted) links move to shortest paths on
+// the surviving subgraph, everything else keeps its strategy rules.
+func (r *Reconfigurer) patch(st *Stage) {
 	if len(st.Drained) == 0 {
 		return // disjoint physical resources: nothing to route around
 	}
-	down := routing.Outage{Edge: map[int]bool{}}
-	for _, e := range st.Drained {
-		down.Edge[e] = true
-	}
-	base := &routing.Routes{Topo: r.g, Strategy: r.live.Strategy, NumVCs: r.live.NumVCs, Rules: r.orig}
-	rules, _ := routing.RepairAvoiding(base, down)
-	churn := routing.Churn(r.live.Rules, rules)
-	r.live.ReplaceRules(append([]routing.Rule(nil), rules...))
-	if r.OnPatch != nil {
-		r.OnPatch(net.Sim.Now(), i, churn)
-	}
+	r.rr.Tracker.TransitionPatch(st.rec, r.rr.Net.Sim.Now(), r.rr.Repair())
 }
 
 // commit runs the control-plane switchover and either schedules the
 // reconverge stage (success) or rolls back immediately (failure): the
-// previous plan re-acquired, links restored, original rules swapped
-// back — the run completes on the old topology.
-func (r *Reconfigurer) commit(net *netsim.Network, i int) {
-	st := &r.Stages[i]
-	now := net.Sim.Now()
+// previous plan re-acquired, the drain released and the routes
+// repaired — the run completes on the old topology.
+func (r *Reconfigurer) commit(st *Stage) {
+	sim := r.rr.Net.Sim
 	entries, rt, hw, err := r.switchover(st)
 	if err != nil {
 		st.Outcome = OutcomeRolledBack + ": " + err.Error()
-		if r.OnRollback != nil {
-			r.OnRollback(now, i, err.Error())
-		}
-		r.restore(net, i)
+		r.rr.Tracker.TransitionRollback(st.rec, sim.Now(), err.Error())
+		r.restore(st)
 		return
 	}
 	st.Outcome = OutcomeCommitted
 	st.Entries, st.ReconfigTime, st.HardwareCost = entries, rt, hw
-	if r.OnCommit != nil {
-		r.OnCommit(now, i, entries, rt, hw)
-	}
-	net.Sim.At(st.RestoreAt, func() { r.restore(net, i) })
+	r.rr.Tracker.TransitionCommit(st.rec, sim.Now(), entries, rt, hw)
+	sim.At(st.RestoreAt, func() { r.restore(st) })
 }
 
 // switchover is the control-plane half of commit: release the current
@@ -435,20 +405,14 @@ func (r *Reconfigurer) switchover(st *Stage) (entries int, rt time.Duration, hw 
 }
 
 // restore is the reconverge stage (and the fabric half of rollback):
-// drained links come back up and the original full rules are swapped
-// in, invalidating the memoized FIB.
-func (r *Reconfigurer) restore(net *netsim.Network, i int) {
-	st := &r.Stages[i]
+// the drain is released and the owner repairs around whatever is still
+// down. With nothing else down that swaps the original rules back in
+// full; a link a fault still holds stays down and routed around.
+func (r *Reconfigurer) restore(st *Stage) {
 	for _, e := range st.Drained {
-		net.SetLinkDown(e, false)
+		r.rr.SetLinkDown(controller.DrainHold, e, false)
 	}
-	churn := routing.Churn(r.live.Rules, r.orig)
-	if churn != 0 {
-		r.live.ReplaceRules(append([]routing.Rule(nil), r.orig...))
-	}
-	if r.OnRestore != nil {
-		r.OnRestore(net.Sim.Now(), i, churn)
-	}
+	r.rr.Tracker.TransitionRestore(st.rec, r.rr.Net.Sim.Now(), r.rr.Repair())
 }
 
 // Plan returns the currently committed projection plan: the running

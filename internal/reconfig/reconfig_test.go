@@ -6,17 +6,20 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/controller"
 	"repro/internal/netsim"
 	"repro/internal/partition"
 	"repro/internal/projection"
 	"repro/internal/routing"
+	"repro/internal/telemetry"
 	"repro/internal/topology"
 )
 
-// fixture builds a paper-style cabling hosting both topologies, the
-// running fabric's route clone, and a network with no traffic — enough
-// to drive the full stage protocol through the engine.
-func fixture(t *testing.T, g, target *topology.Graph) (*projection.Cabling, *routing.Routes, *netsim.Network) {
+// fixture builds a paper-style cabling hosting both topologies and a
+// network with no traffic handed to a fabric owner — enough to drive
+// the full stage protocol through the engine. It also returns the live
+// route set the fabric forwards on.
+func fixture(t *testing.T, g, target *topology.Graph) (*projection.Cabling, *controller.Rerouter, *routing.Routes) {
 	t.Helper()
 	switches := []projection.PhysicalSwitch{
 		projection.H3CS6861("s6861-a"),
@@ -35,13 +38,25 @@ func fixture(t *testing.T, g, target *topology.Graph) (*projection.Cabling, *rou
 	if err != nil {
 		t.Fatal(err)
 	}
-	live := routes.Clone()
-	live.Prime()
-	net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(live), netsim.DefaultConfig(), nil, false)
+	net, err := netsim.NewNetwork(g, netsim.NewRouteForwarder(routes), netsim.DefaultConfig(), nil, false)
 	if err != nil {
 		t.Fatal(err)
 	}
-	return cab, live, net
+	rr, err := controller.NewRerouter(net)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return cab, rr, net.Fwd.(netsim.RouteForwarder).Routes
+}
+
+// transition returns the tracker's single transition record.
+func transition(t *testing.T, rr *controller.Rerouter) *telemetry.TransitionRecord {
+	t.Helper()
+	rep := rr.Tracker.ReconfigReport(0)
+	if len(rep.Transitions) != 1 {
+		t.Fatalf("%d transition records, want 1", len(rep.Transitions))
+	}
+	return &rep.Transitions[0]
 }
 
 // allocCounts asserts the run-private allocation books exactly the
@@ -118,14 +133,15 @@ func TestScheduleValidation(t *testing.T) {
 // TestCommitProtocol drives a fat-tree → torus transition through the
 // engine and checks every stage effect: links drained then restored,
 // degraded rules swapped then the originals back, the target committed
-// with cost columns, and the allocation left booking exactly the
-// target's plan.
+// with cost columns, every stage stamped on the tracker, and the
+// allocation left booking exactly the target's plan.
 func TestCommitProtocol(t *testing.T) {
 	g := topology.FatTree(4)
 	target := topology.Torus2D(4, 4, 1)
-	cab, live, net := fixture(t, g, target)
+	cab, rr, live := fixture(t, g, target)
+	net := rr.Net
 	spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: target}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, rr, spec, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,24 +153,31 @@ func TestCommitProtocol(t *testing.T) {
 		t.Fatal("no drained links: the target claims none of the running topology's cables")
 	}
 
-	var drainedDown, patchChurn, restoreChurn int
-	rc.OnDrain = func(_ netsim.Time, _ int, drained []int) {
-		for _, e := range drained {
+	rc.Bind()
+	// Probe inside the drain window: every drained link is down.
+	drainedDown := 0
+	net.Sim.At(st.DrainAt+1, func() {
+		for _, e := range st.Drained {
 			if net.LinkIsDown(e) {
 				drainedDown++
 			}
 		}
-	}
-	rc.OnPatch = func(_ netsim.Time, _ int, churn int) { patchChurn = churn }
-	rc.OnRestore = func(_ netsim.Time, _ int, churn int) { restoreChurn = churn }
-	rc.Bind(net)
+	})
 	net.Sim.Run(0)
 
 	if drainedDown != len(st.Drained) {
 		t.Fatalf("%d/%d drained links down", drainedDown, len(st.Drained))
 	}
-	if patchChurn == 0 || restoreChurn == 0 {
-		t.Fatalf("no rule churn: patch=%d restore=%d", patchChurn, restoreChurn)
+	e := transition(t, rr)
+	if e.DrainAt != st.DrainAt || e.DrainedLinks != len(st.Drained) ||
+		e.PatchAt != st.PatchAt || e.DecisionAt != st.CommitAt || e.RestoreAt != st.RestoreAt {
+		t.Fatalf("stage times not stamped: %+v vs %+v", e, st)
+	}
+	if e.PatchChurn == 0 || e.RestoreChurn == 0 {
+		t.Fatalf("no rule churn: patch=%d restore=%d", e.PatchChurn, e.RestoreChurn)
+	}
+	if !e.Committed || e.Entries != st.Entries || e.ReconfigTime != st.ReconfigTime || e.HardwareCost != st.HardwareCost {
+		t.Fatalf("commit not recorded: %+v", e)
 	}
 	if st.Outcome != OutcomeCommitted {
 		t.Fatalf("outcome = %q", st.Outcome)
@@ -192,24 +215,28 @@ func freshRules(t *testing.T, g *topology.Graph) []routing.Rule {
 func TestRollbackOnValidateFailure(t *testing.T) {
 	g := topology.FatTree(4)
 	target := topology.Torus2D(4, 4, 1)
-	cab, live, net := fixture(t, g, target)
+	cab, rr, live := fixture(t, g, target)
+	net := rr.Net
 	injected := errors.New("injected plan-check failure")
 	spec := &Spec{Transitions: []Transition{{
 		At: netsim.Millisecond, Target: target,
 		Validate: func(*projection.Plan) error { return injected },
 	}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, rr, spec, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	var rollbackReason string
-	rc.OnRollback = func(_ netsim.Time, _ int, reason string) { rollbackReason = reason }
-	rc.Bind(net)
+	rc.Bind()
 	net.Sim.Run(0)
 
 	st := &rc.Stages[0]
-	if !strings.HasPrefix(st.Outcome, OutcomeRolledBack) || !strings.Contains(rollbackReason, "injected") {
-		t.Fatalf("outcome = %q, reason = %q", st.Outcome, rollbackReason)
+	e := transition(t, rr)
+	if !strings.HasPrefix(st.Outcome, OutcomeRolledBack) || e.Committed || !strings.Contains(e.Reason, "injected") {
+		t.Fatalf("outcome = %q, record = %+v", st.Outcome, e)
+	}
+	// Rollback restores at the decision, undoing exactly the patch.
+	if e.RestoreAt != st.CommitAt || e.DecisionAt != st.CommitAt || e.RestoreChurn != e.PatchChurn {
+		t.Fatalf("rollback restore not stamped at the decision: %+v", e)
 	}
 	if rc.Plan().Topo != g {
 		t.Fatalf("plan after rollback is for %q, want the old topology", rc.Plan().Topo.Name)
@@ -230,17 +257,17 @@ func TestRollbackOnValidateFailure(t *testing.T) {
 func TestStageTimeoutRollback(t *testing.T) {
 	g := topology.FatTree(4)
 	target := topology.Torus2D(4, 4, 1)
-	cab, live, net := fixture(t, g, target)
+	cab, rr, _ := fixture(t, g, target)
 	spec := &Spec{
 		Transitions:  []Transition{{At: netsim.Millisecond, Target: target}},
 		StageTimeout: time.Nanosecond,
 	}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, rr, spec, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	rc.Bind(net)
-	net.Sim.Run(0)
+	rc.Bind()
+	rr.Net.Sim.Run(0)
 	if !strings.Contains(rc.Stages[0].Outcome, "stage timeout") {
 		t.Fatalf("outcome = %q", rc.Stages[0].Outcome)
 	}
@@ -251,9 +278,10 @@ func TestStageTimeoutRollback(t *testing.T) {
 // rejected at New time and never touches the fabric.
 func TestRejectBeforeDrain(t *testing.T) {
 	g := topology.FatTree(4)
-	cab, live, net := fixture(t, g, nil) // cabling planned for g only
+	cab, rr, _ := fixture(t, g, nil) // cabling planned for g only
+	net := rr.Net
 	spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: topology.FatTree(8)}}}
-	rc, err := New(g, cab, live, spec, partition.Options{})
+	rc, err := New(g, cab, rr, spec, partition.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,12 +289,10 @@ func TestRejectBeforeDrain(t *testing.T) {
 	if !strings.HasPrefix(st.Outcome, OutcomeRejected) || len(st.Drained) != 0 {
 		t.Fatalf("outcome = %q, drained = %v", st.Outcome, st.Drained)
 	}
-	rejected := false
-	rc.OnReject = func(_ netsim.Time, _ int, _ string) { rejected = true }
-	rc.Bind(net)
+	rc.Bind()
 	net.Sim.Run(0)
-	if !rejected {
-		t.Fatal("OnReject never fired")
+	if e := transition(t, rr); !e.Rejected || e.Reason != st.Outcome || e.DrainAt != st.DrainAt {
+		t.Fatalf("reject not recorded at drain time: %+v", e)
 	}
 	for eid := range g.Edges {
 		if net.LinkIsDown(eid) {
@@ -283,9 +309,9 @@ func TestDrainSetDeterministic(t *testing.T) {
 	target := topology.Dragonfly(4, 9, 2, 1)
 	var digests []string
 	for rep := 0; rep < 2; rep++ {
-		cab, live, _ := fixture(t, g, target)
+		cab, rr, _ := fixture(t, g, target)
 		spec := &Spec{Transitions: []Transition{{At: netsim.Millisecond, Target: target}}}
-		rc, err := New(g, cab, live, spec, partition.Options{})
+		rc, err := New(g, cab, rr, spec, partition.Options{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -15,6 +15,7 @@
 package routing
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -258,7 +259,7 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	g.CSR()
 	g.Hosts()
 	perDst := make([][]Rule, len(dsts))
-	err := par.For(computeWorkers, len(dsts), func(hi int) error {
+	err := par.For(context.TODO(), computeWorkers, len(dsts), func(hi int) error {
 		// Each job owns exactly its destination's bucket element.
 		return build(dsts[hi], func(rule Rule) { perDst[hi] = append(perDst[hi], rule) })
 	})

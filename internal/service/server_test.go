@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/experiments"
+	"repro/internal/par"
 )
 
 var (
@@ -50,6 +51,15 @@ func init() {
 			fmt.Fprintf(w, "panic started seed=%d\n", p.Seed)
 			panic(fmt.Sprintf("svc-test-panic seed=%d", p.Seed))
 		}, experiments.FieldSeed)
+	experiments.Register(9003, "svc-test-sweep-panic", "test-only: panics inside a parallel sweep worker",
+		func(ctx context.Context, p experiments.Params, w io.Writer) error {
+			return par.For(ctx, 2, 8, func(i int) error {
+				if i == 3 {
+					panic(fmt.Sprintf("svc-test-sweep-panic seed=%d", p.Seed))
+				}
+				return nil
+			})
+		}, experiments.FieldSeed, experiments.FieldWorkers)
 }
 
 // newTestServer builds a server + loopback HTTP client and tears both
@@ -241,6 +251,35 @@ func TestPanickingJobFailsAndWorkerSurvives(t *testing.T) {
 	body, _, err := c.Result(ctx, good.ID)
 	if err != nil || string(body) != "echo seed=8 flows=0\n" {
 		t.Fatalf("job after the panic: result %q err=%v", body, err)
+	}
+}
+
+// TestPanickingSweepWorkerFailsJob: a panic on a parallel sweep's
+// worker goroutine — not the job goroutine the server recovers on —
+// fails that job with the panic and its stack, and the daemon goes on
+// to complete the next job.
+func TestPanickingSweepWorkerFailsJob(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	ctx := testCtx(t)
+
+	bad, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-sweep-panic", Seed: 5, Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, err := c.Submit(ctx, JobSpec{Scenario: "svc-test-echo", Seed: 6})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := c.Wait(ctx, bad.ID, time.Millisecond)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.State != StateFailed || !strings.Contains(st.Error, "svc-test-sweep-panic seed=5") ||
+		!strings.Contains(st.Error, "server_test.go") {
+		t.Fatalf("panicking sweep: state %s, error %q; want failed with the panic value and stack", st.State, st.Error)
+	}
+	if st, err = c.Wait(ctx, good.ID, time.Millisecond); err != nil || st.State != StateDone {
+		t.Fatalf("job after the panic: %+v err=%v", st, err)
 	}
 }
 

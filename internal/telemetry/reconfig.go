@@ -1,12 +1,13 @@
 package telemetry
 
 // Reconfiguration telemetry: the graceful-degradation record of one
-// drain→transition→reconverge protocol run. The core run loop wires a
-// RecoveryTracker to the reconfigurer's stage hooks; the tracker stamps
-// each stage boundary, counts the packets lost inside the disruption
-// window, and measures reconvergence exactly as it does for faults —
-// via netsim.Network.OnDeliver, installed only while a restored
-// transition awaits its first delivery.
+// drain→transition→reconverge protocol run. The reconfigurer stamps
+// each stage boundary on its fabric owner's RecoveryTracker, which
+// counts the packets lost inside the disruption window (from the
+// fabric-wide fault-drop counter, so in a run that also injects faults
+// the window includes fault drops) and measures reconvergence exactly
+// as it does for faults — via netsim.Network.OnDeliver, installed only
+// while a restored transition awaits its first delivery.
 
 import (
 	"fmt"

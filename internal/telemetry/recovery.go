@@ -5,12 +5,14 @@ package telemetry
 // that repair landed (the reconvergence signal), and how many rules
 // the repair churned; plus the run-wide packets-lost count.
 //
-// A RecoveryTracker is wired by the core run loop: it observes fault
-// events (timestamps), repairs (via the rerouter's OnRepair hook), and
-// deliveries (via netsim.Network.OnDeliver, installed only while a
-// repair awaits its first delivery, so the hook costs nothing once the
-// fabric has reconverged). Everything runs inside the engine thread of
-// one simulation; a tracker is per-run and needs no locking.
+// A RecoveryTracker belongs to the run's fabric owner
+// (controller.Rerouter): the fault schedule stamps fault events and
+// repairs on it, the reconfiguration protocol stamps transition stages
+// (reconfig.go), and it captures deliveries itself (via
+// netsim.Network.OnDeliver, installed only while a repair or restore
+// awaits its first delivery, so the hook costs nothing once the fabric
+// has reconverged). Everything runs inside the engine thread of one
+// simulation; a tracker is per-run and needs no locking.
 
 import (
 	"fmt"
@@ -49,7 +51,8 @@ func (e *RecoveryEvent) Reconvergence() netsim.Time {
 type Recovery struct {
 	Events []RecoveryEvent
 	// PacketsLost counts packets dropped by dead elements
-	// (netsim.Network.FaultDrops).
+	// (netsim.Network.FaultDrops) — drained links included when the
+	// run also reconfigures.
 	PacketsLost int64
 	// Incomplete counts workload flows that never finished.
 	Incomplete int
@@ -98,9 +101,10 @@ func (r *Recovery) Format(w io.Writer) {
 	fmt.Fprintf(w, "packets lost to faults: %d, flows incomplete: %d\n", r.PacketsLost, r.Incomplete)
 }
 
-// RecoveryTracker accumulates recovery metrics during one fault or
-// reconfiguration run (the Transition* methods in reconfig.go record
-// the latter; both share the first-delivery capture below).
+// RecoveryTracker accumulates recovery metrics during one run that
+// injects faults, reconfigures, or both (the Transition* methods in
+// reconfig.go record transitions; both share the first-delivery
+// capture below).
 type RecoveryTracker struct {
 	rec          Recovery
 	trans        []TransitionRecord

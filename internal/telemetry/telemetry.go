@@ -72,21 +72,6 @@ func NewCollector(g *topology.Graph, period netsim.Time, alpha float64) *Collect
 	}
 }
 
-// Arm schedules periodic collection on the network until the given
-// horizon (0 = a single sample at one period). Call before Run.
-func (c *Collector) Arm(net *netsim.Network, until netsim.Time) {
-	var tick func(at netsim.Time)
-	tick = func(at netsim.Time) {
-		net.Sim.At(at, func() {
-			c.Collect(net)
-			if at+c.Period <= until {
-				tick(at + c.Period)
-			}
-		})
-	}
-	tick(c.Period)
-}
-
 // Collect takes one sample immediately (cumulative counters diffed
 // against this network's previous epoch).
 func (c *Collector) Collect(net *netsim.Network) {

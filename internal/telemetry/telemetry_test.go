@@ -23,12 +23,20 @@ func lineNet(t *testing.T) (*netsim.Network, *topology.Graph) {
 	return net, g
 }
 
+// collectEvery samples the network every collector period up to the
+// horizon, the way core.WithTelemetry's Tick hook does inside a run.
+func collectEvery(col *Collector, net *netsim.Network, until netsim.Time) {
+	for at := col.Period; at <= until; at += col.Period {
+		net.Sim.At(at, func() { col.Collect(net) })
+	}
+}
+
 func TestCollectorSamplesPeriodically(t *testing.T) {
 	net, g := lineNet(t)
 	col := NewCollector(g, netsim.Millisecond, 0.5)
 	hosts := g.Hosts()
 	net.Host(hosts[0]).Send(hosts[3], 1, 8<<20) // ~6.7 ms at 10G
-	col.Arm(net, 10*netsim.Millisecond)
+	collectEvery(col, net, 10*netsim.Millisecond)
 	net.Sim.Run(11 * netsim.Millisecond)
 	if col.Epochs() < 8 {
 		t.Fatalf("epochs = %d, want ~10", col.Epochs())
@@ -60,7 +68,7 @@ func TestCollectorRates(t *testing.T) {
 	col := NewCollector(g, netsim.Millisecond, 1.0) // no smoothing
 	hosts := g.Hosts()
 	net.Host(hosts[0]).Send(hosts[3], 1, 4<<20)
-	col.Arm(net, 3*netsim.Millisecond)
+	collectEvery(col, net, 3*netsim.Millisecond)
 	net.Sim.Run(3500 * netsim.Microsecond)
 	rates := col.Rates()
 	peak := 0.0
@@ -90,7 +98,7 @@ func TestCollectorFeedsUGAL(t *testing.T) {
 		net.Host(hosts[i]).Send(hosts[4+i], 1, 2<<20) // group 0 -> group 1
 	}
 	col := NewCollector(g, netsim.Millisecond, 0.5)
-	col.Arm(net, 5*netsim.Millisecond)
+	collectEvery(col, net, 5*netsim.Millisecond)
 	net.Sim.Run(0)
 	ugal := routing.DragonflyUGAL{Loads: col.Rates(), Bias: 1}
 	r, err := ugal.Compute(g)
@@ -107,7 +115,7 @@ func TestJSONRoundTrip(t *testing.T) {
 	col := NewCollector(g, netsim.Millisecond, 0.5)
 	hosts := g.Hosts()
 	net.Host(hosts[0]).Send(hosts[3], 1, 2<<20)
-	col.Arm(net, 3*netsim.Millisecond)
+	collectEvery(col, net, 3*netsim.Millisecond)
 	net.Sim.Run(0)
 	var buf bytes.Buffer
 	if err := col.WriteJSON(&buf); err != nil {

@@ -33,7 +33,7 @@
 // For a fixed shard count results are byte-identical across reruns,
 // machines and worker counts (Shards=1 matches the serial engine
 // exactly; different counts are distinct deterministic schedules), and
-// runs the executor cannot shard — faults, reconfiguration, SDT mode,
+// runs the executor cannot shard — faults or reconfiguration, SDT mode,
 // Tick observers, zero propagation delay — silently fall back to
 // serial, reported via RunResult.Shards.
 //
@@ -112,9 +112,11 @@
 //	})
 //	res.Reconfig.Format(os.Stdout) // loss, churn, reconvergence, cost columns
 //
-// The older positional entry points (Testbed.RunTrace,
-// Testbed.RunBatch) remain as deprecated thin wrappers over Run/Sweep
-// and produce identical results.
+// A Scenario may carry both: faults and transitions drive the run's one
+// fabric owner, which keeps an element down while either source holds
+// it (a fault's link-up does not revive a link a transition is
+// draining) and patches one route set around everything down. Both
+// reports then read the one fault-drop counter for their losses.
 //
 // The full implementation lives in the internal packages; see DESIGN.md
 // for the system inventory, WORKLOADS.md for the workload catalogue,
@@ -127,6 +129,7 @@ import (
 	"repro/internal/faults"
 	"repro/internal/loadgen"
 	"repro/internal/netsim"
+	"repro/internal/par"
 	"repro/internal/partition"
 	"repro/internal/projection"
 	"repro/internal/reconfig"
@@ -252,22 +255,13 @@ var (
 	WithShards    = core.WithShards
 )
 
-// TraceJob is one independent workload execution for Testbed.RunBatch.
-//
-// Deprecated: build Job values for Sweep instead.
-type TraceJob = core.TraceJob
-
-// ParallelFor is the worker-pool helper behind the parallel experiment
-// sweeps: it runs independent jobs 0..n-1 across workers (0 = all
-// cores, 1 = serial) and returns the lowest-index job error. For
-// cancellable fan-outs, pass a context to ForEach.
-func ParallelFor(workers, n int, job func(i int) error) error {
-	return core.ParallelFor(workers, n, job)
-}
-
-// ForEach is ParallelFor with cooperative cancellation: once ctx ends
-// no further job starts and the context's error is returned.
-var ForEach = core.ForEach
+// ForEach is the worker pool behind the parallel experiment sweeps: it
+// runs independent jobs 0..n-1 across workers (0 = all cores, 1 =
+// serial) and returns the lowest-index job error. Once ctx ends no
+// further job starts and the context's error is returned; a panicking
+// job becomes that job's error (with its stack) instead of killing the
+// process.
+var ForEach = par.For
 
 // Mode selects the evaluation platform.
 type Mode = core.Mode
@@ -333,8 +327,8 @@ const (
 // DefaultSimConfig is the paper-calibrated configuration.
 var DefaultSimConfig = netsim.DefaultConfig
 
-// Congestion-control policy names for SimConfig.CC (empty keeps the
-// legacy DCQCN-flag behaviour).
+// Congestion-control policy names for SimConfig.CC (empty = no rate
+// control: RoCE flows send at line rate).
 const (
 	CCDCQCN   = netsim.CCDCQCN
 	CCTimely  = netsim.CCTimely
@@ -460,7 +454,7 @@ type RecoveryEvent = telemetry.RecoveryEvent
 // reconverges while the run result's Reconfig report records packets
 // lost, reconvergence time, rule churn, and the cost-model downtime and
 // price columns. Equal specs expand to byte-identical schedules.
-// Mutually exclusive with Scenario.Faults.
+// Composes with Scenario.Faults (see the package doc).
 type ReconfigSpec = reconfig.Spec
 
 // ReconfigTransition is one timed topology transition in a
