@@ -66,7 +66,9 @@ func run() int {
 		return 1
 	}
 
-	hs := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	// ReadHeaderTimeout bounds how long a slow client may hold a
+	// connection before sending its request headers.
+	hs := &http.Server{Addr: *addr, Handler: srv.Handler(), ReadHeaderTimeout: 10 * time.Second}
 	ctx, stop := cli.SignalContext(context.Background())
 	defer stop()
 

@@ -25,6 +25,7 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"math"
 
 	"repro/internal/netsim"
 )
@@ -68,6 +69,11 @@ func (s JobSpec) Validate() error {
 	if s.Ranks < 0 || s.Reps < 0 || s.Bytes < 0 || s.Zoo < 0 || s.Flows < 0 ||
 		s.Faults < 0 || s.Shards < 0 || s.Workers < 0 {
 		return fmt.Errorf("spec: negative counts are invalid")
+	}
+	for _, v := range []float64{s.DurMs, s.MTBFMs, s.Load} {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			return fmt.Errorf("spec: dur_ms/mtbf_ms/load must be finite")
+		}
 	}
 	if s.DurMs < 0 || s.MTBFMs < 0 || s.Load < 0 || s.Load > 1 {
 		return fmt.Errorf("spec: dur_ms/mtbf_ms must be >= 0 and load in [0, 1]")

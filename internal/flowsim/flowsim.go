@@ -8,8 +8,8 @@
 // reach 10k–100k-host fabrics (ROADMAP item 2).
 //
 // Fidelity contract: flows follow the exact compiled routes the packet
-// engine forwards with (the walker resolves paths through the same
-// FIB/Lookup rules), link capacity is the packet engine's effective
+// engine forwards with (the walker resolves paths through the
+// Routes.Lookup reference), link capacity is the packet engine's effective
 // payload goodput (LinkBps derated by the MTU/(MTU+header) framing
 // overhead), concurrent flows between one (src, dst) pair serialise in
 // schedule order exactly like the RoCE per-destination queue pair, and

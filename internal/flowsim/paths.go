@@ -8,15 +8,6 @@ import (
 	"repro/internal/topology"
 )
 
-// maxFIBVertices caps the fabric size that compiles a dense FIB for
-// path walking. FIB memory grows as vertices² (one slot per
-// (switch, dst) pair over the full vertex range), which passes a
-// gigabyte somewhere above 10k hosts; larger fabrics walk the
-// map-indexed Routes.Lookup instead — the same rules, just without the
-// dense compilation, and path resolution is a one-time cost per
-// (src, dst) pair rather than a per-packet hot path.
-const maxFIBVertices = 4096
-
 // pathInfo is one resolved host-to-host route through the fabric.
 type pathInfo struct {
 	// links are the directed links the flow occupies, source host NIC
@@ -31,13 +22,15 @@ type pathInfo struct {
 	base float64
 }
 
-// walker resolves and caches host-to-host paths by walking the
-// compiled forwarding state hop by hop — the exact rules the packet
-// engine forwards with, so flow-level and packet-level runs cannot
-// disagree about which links a flow crosses.
+// walker resolves and caches host-to-host paths by walking the rules
+// hop by hop through Routes.Lookup — the rules the packet engine's FIB
+// is compiled from and differential-tested against, so flow-level and
+// packet-level runs cannot disagree about which links a flow crosses.
+// Path resolution is a one-time cost per (src, dst) pair, so no dense
+// FIB (vertices² slots) is compiled for it at any fabric size.
 type walker struct {
 	g       *topology.Graph
-	forward func(sw, inPort, dst, tag int) (outPort, newTag int, ok bool)
+	routes  *routing.Routes
 	ports   map[int]map[int]int32 // switch → out port → edge id, built per visited switch
 	cache   map[[2]int]*pathInfo
 	hdrSer  float64 // header serialisation time in ps (cut-through per-hop cost)
@@ -48,8 +41,9 @@ type walker struct {
 }
 
 func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config) *walker {
-	w := &walker{
+	return &walker{
 		g:       g,
+		routes:  routes,
 		ports:   map[int]map[int]int32{},
 		cache:   map[[2]int]*pathInfo{},
 		hdrSer:  float64(cfg.HeaderBytes*8) / cfg.LinkBps * float64(netsim.Second),
@@ -58,24 +52,6 @@ func newWalker(g *topology.Graph, routes *routing.Routes, cfg *netsim.Config) *w
 		propLat: float64(cfg.PropDelay),
 		cut:     cfg.CutThrough,
 	}
-	if len(g.Vertices) <= maxFIBVertices {
-		fib := routes.FIB()
-		w.forward = fib.Forward
-	} else {
-		// Lookup builds its rule index lazily on first use; the engine
-		// runs serially, so the lazy build is safe here.
-		w.forward = func(sw, inPort, dst, tag int) (int, int, bool) {
-			r := routes.Lookup(sw, inPort, dst, tag)
-			if r == nil {
-				return 0, 0, false
-			}
-			if r.NewTag >= 0 {
-				tag = r.NewTag
-			}
-			return r.OutPort, tag, true
-		}
-	}
-	return w
 }
 
 // dirLink is the directed-link id for traversing edge eid out of vertex
@@ -126,11 +102,14 @@ func (w *walker) path(src, dst int) (*pathInfo, error) {
 			return nil, fmt.Errorf("flowsim: path %d->%d exceeds %d hops (routing loop?)", src, dst, nsw)
 		}
 		nsw++
-		out, newTag, ok := w.forward(cur, inPort, dst, tag)
-		if !ok {
+		rule := w.routes.Lookup(cur, inPort, dst, tag)
+		if rule == nil {
 			return nil, fmt.Errorf("flowsim: no route on switch %d for dst %d tag %d", cur, dst, tag)
 		}
-		tag = newTag
+		if rule.NewTag >= 0 {
+			tag = rule.NewTag
+		}
+		out := rule.OutPort
 		eid := w.edgeAt(cur, out)
 		if eid < 0 {
 			return nil, fmt.Errorf("flowsim: switch %d out port %d dangling", cur, out)

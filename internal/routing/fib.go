@@ -2,7 +2,6 @@ package routing
 
 import (
 	"fmt"
-	"sort"
 
 	"repro/internal/openflow"
 )
@@ -94,54 +93,42 @@ func (r *Routes) Compile() *FIB {
 	for i := range f.ruleIdx {
 		f.ruleIdx[i] = -1
 	}
-	// Deterministic slot order keeps the spill arrays (and therefore
-	// the whole FIB) reproducible independent of map iteration.
-	for sw := 0; sw < n; sw++ {
-		for dst := 0; dst < n; dst++ {
-			idx := r.index[[2]int{sw, dst}]
-			if len(idx) == 0 {
-				continue
+	// One walk over the index's (switch, dst) groups, in ascending key
+	// order, keeps the spill arrays (and therefore the whole FIB)
+	// reproducible.
+	for lo := 0; lo < len(r.index); {
+		hi := r.groupEnd(lo)
+		group := r.index[lo:hi]
+		lo = hi
+		first := &r.Rules[group[0]]
+		sw, dst := first.Switch, first.Dst
+		// Manual rule sets may reference switch/destination IDs beyond
+		// the vertex range; those slots go to the overflow map.
+		if uint(sw) >= uint(n) || uint(dst) >= uint(n) {
+			if f.extra == nil {
+				f.extra = make(map[[2]int]uint32)
 			}
-			slot := sw*n + dst
-			// Fast path only when every rule after the first can never
-			// win: the first rule is fully wildcarded (most specific
-			// first means the rest are too, so they are shadowed) and
-			// its action packs.
-			if first := &r.Rules[idx[0]]; fibPackable(first) {
-				f.slots[slot] = fibPack(first)
-				f.ruleIdx[slot] = int32(idx[0])
-				continue
-			}
-			f.slots[slot] = f.spillGroup(r, idx)
+			f.extra[[2]int{sw, dst}] = f.spillGroup(r, group)
+			continue
 		}
-	}
-	// Manual rule sets may reference switch/destination IDs beyond the
-	// vertex range; those slots go to the overflow map (sorted keys
-	// keep the spill arrays deterministic).
-	var oor [][2]int
-	for key := range r.index {
-		if uint(key[0]) >= uint(n) || uint(key[1]) >= uint(n) {
-			oor = append(oor, key)
+		slot := sw*n + dst
+		// Fast path only when every rule after the first can never
+		// win: the first rule is fully wildcarded (most specific first
+		// means the rest are too, so they are shadowed) and its action
+		// packs.
+		if fibPackable(first) {
+			f.slots[slot] = fibPack(first)
+			f.ruleIdx[slot] = group[0]
+			continue
 		}
-	}
-	if len(oor) > 0 {
-		sort.Slice(oor, func(i, j int) bool {
-			if oor[i][0] != oor[j][0] {
-				return oor[i][0] < oor[j][0]
-			}
-			return oor[i][1] < oor[j][1]
-		})
-		f.extra = make(map[[2]int]uint32, len(oor))
-		for _, key := range oor {
-			f.extra[key] = f.spillGroup(r, r.index[key])
-		}
+		f.slots[slot] = f.spillGroup(r, group)
 	}
 	return f
 }
 
 // spillGroup appends the indexed rules (already most-specific-first) as
 // a new spill group and returns its slot word.
-func (f *FIB) spillGroup(r *Routes, idx []int) uint32 {
+func (f *FIB) spillGroup(r *Routes, idx []int32) uint32 {
 	k := len(f.spillOff) - 1
 	for _, ri := range idx {
 		rule := &r.Rules[ri]
@@ -150,7 +137,7 @@ func (f *FIB) spillGroup(r *Routes, idx []int) uint32 {
 			tag:    int32(rule.Tag),
 			out:    int32(rule.OutPort),
 			newTag: int32(rule.NewTag),
-			rule:   int32(ri),
+			rule:   ri,
 		})
 	}
 	f.spillOff = append(f.spillOff, int32(len(f.spillRules)))

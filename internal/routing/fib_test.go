@@ -1,6 +1,7 @@
 package routing
 
 import (
+	"math/rand/v2"
 	"testing"
 
 	"repro/internal/openflow"
@@ -269,6 +270,46 @@ func BenchmarkRouteComputeTorus(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := (TorusClue{Dims: 3}).Compute(g); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkComputeForFatTreeK24 is the route-setup layer at flow-fidelity
+// scale: fat-tree k=24 (3456 hosts, 720 switches) routed toward a fixed
+// 2390-destination subset — the shape of the route set a websearch flow
+// run of 4096 flows builds (~1.7M rules).
+func BenchmarkComputeForFatTreeK24(b *testing.B) {
+	g := topology.FatTree(24)
+	hosts := g.Hosts()
+	perm := rand.New(rand.NewPCG(1, 2)).Perm(len(hosts))
+	dsts := make([]int, 2390)
+	for i := range dsts {
+		dsts[i] = hosts[perm[i]]
+	}
+	g.CSR()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := (FatTreeDFS{}).ComputeFor(g, dsts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkFIBCompile measures building the rule index and compiling the
+// dense FIB for a full fat-tree k=8 route set (the websearch packet
+// run's fabric).
+func BenchmarkFIBCompile(b *testing.B) {
+	r, err := FatTreeDFS{}.Compute(topology.FatTree(8))
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		r.ReplaceRules(r.Rules) // drop the memoized index and FIB
+		if r.Compile() == nil {
+			b.Fatal("nil FIB")
 		}
 	}
 }

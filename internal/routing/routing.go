@@ -15,9 +15,10 @@
 package routing
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/openflow"
 	"repro/internal/par"
@@ -41,8 +42,14 @@ type Routes struct {
 	NumVCs   int // number of distinct VC tags used (>=1)
 	Rules    []Rule
 
-	index map[[2]int][]int // (switch, dst) -> rule indices, most specific first
-	fib   *FIB             // compiled fast path, memoized by FIB()
+	// index permutes rule indices into (Switch, Dst, most specific
+	// first, rule index) order, so each (switch, dst) group is one
+	// contiguous run; index[swOff[sw]:swOff[sw+1]] is switch sw's run
+	// for the switch IDs inside the vertex range. Built lazily (nil
+	// swOff = not built).
+	index []int32
+	swOff []int32
+	fib   *FIB // compiled fast path, memoized by FIB()
 }
 
 // Strategy computes routes for a topology.
@@ -100,32 +107,83 @@ func (r *Routes) add(rule Rule) {
 // invalidate drops the derived lookup structures after a rule mutation.
 func (r *Routes) invalidate() {
 	r.index = nil
+	r.swOff = nil
 	r.fib = nil
 }
 
+// specificity ranks a rule's match for Lookup: an InPort-qualified rule
+// beats a Tag-qualified one, which beats a full wildcard.
+func specificity(r *Rule) int {
+	s := 0
+	if r.InPort != 0 {
+		s += 2
+	}
+	if r.Tag != openflow.Any {
+		s++
+	}
+	return s
+}
+
+// buildIndex orders the rule indices by (Switch, Dst, most specific
+// first, rule index). Rules already in (Switch, Dst) order — every
+// strategy's output — take the linear path: only the per-group
+// specificity order is fixed up, and groups are a few rules long.
 func (r *Routes) buildIndex() {
-	if r.index != nil {
+	if r.swOff != nil {
 		return
 	}
-	r.index = make(map[[2]int][]int)
-	for i := range r.Rules {
-		key := [2]int{r.Rules[i].Switch, r.Rules[i].Dst}
-		r.index[key] = append(r.index[key], i)
-	}
-	spec := func(i int) int {
-		s := 0
-		if r.Rules[i].InPort != 0 {
-			s += 2
+	rules := r.Rules
+	idx := make([]int32, len(rules))
+	grouped := true
+	for i := range idx {
+		idx[i] = int32(i)
+		if i > 0 && cmpSwitchDst(&rules[i-1], &rules[i]) > 0 {
+			grouped = false
 		}
-		if r.Rules[i].Tag != openflow.Any {
-			s++
+	}
+	if !grouped {
+		slices.SortFunc(idx, func(a, b int32) int {
+			return cmp.Or(cmpSwitchDst(&rules[a], &rules[b]), cmp.Compare(a, b))
+		})
+	}
+	r.index = idx
+	for lo := 0; lo < len(idx); {
+		hi := r.groupEnd(lo)
+		if hi-lo > 1 {
+			slices.SortStableFunc(idx[lo:hi], func(a, b int32) int {
+				return cmp.Compare(specificity(&rules[b]), specificity(&rules[a]))
+			})
 		}
-		return s
+		lo = hi
 	}
-	for key := range r.index {
-		idx := r.index[key]
-		sort.SliceStable(idx, func(a, b int) bool { return spec(idx[a]) > spec(idx[b]) })
+	nv := len(r.Topo.Vertices)
+	r.swOff = make([]int32, nv+1)
+	i := 0
+	for sw := 0; sw <= nv; sw++ {
+		for i < len(idx) && rules[idx[i]].Switch < sw {
+			i++
+		}
+		r.swOff[sw] = int32(i)
 	}
+}
+
+// cmpSwitchDst orders rules by their (Switch, Dst) group.
+func cmpSwitchDst(a, b *Rule) int {
+	return cmp.Or(cmp.Compare(a.Switch, b.Switch), cmp.Compare(a.Dst, b.Dst))
+}
+
+// groupEnd returns the end of the index run that starts at lo and
+// shares its (Switch, Dst).
+func (r *Routes) groupEnd(lo int) int {
+	first := &r.Rules[r.index[lo]]
+	hi := lo + 1
+	for hi < len(r.index) {
+		if rule := &r.Rules[r.index[hi]]; rule.Switch != first.Switch || rule.Dst != first.Dst {
+			break
+		}
+		hi++
+	}
+	return hi
 }
 
 // Prime eagerly builds the lookup index and the compiled FIB so the
@@ -159,18 +217,31 @@ func (r *Routes) FIB() *FIB {
 //
 // This is the reference implementation the compiled FIB is
 // differential-tested against; the forwarding hot paths use
-// FIB.Forward. The index nil-check is inlined here (rather than calling
-// buildIndex) so the already-built case — every call after the first on
-// a Primed route set — pays no function-call overhead in the fallback
-// paths that still probe rule granularity.
+// FIB.Forward. It binary-searches the index (within the switch's run
+// when sw is a vertex) for the (sw, dst) group and returns the group's
+// first matching rule.
 func (r *Routes) Lookup(sw, inPort, dst, tag int) *Rule {
-	idx := r.index
-	if idx == nil {
+	if r.swOff == nil {
 		r.buildIndex()
-		idx = r.index
 	}
-	for _, i := range idx[[2]int{sw, dst}] {
-		rule := &r.Rules[i]
+	idx, rules := r.index, r.Rules
+	lo, hi := 0, len(idx)
+	if uint(sw) < uint(len(r.swOff)-1) {
+		lo, hi = int(r.swOff[sw]), int(r.swOff[sw+1])
+	}
+	for lo < hi {
+		m := int(uint(lo+hi) >> 1)
+		if x := &rules[idx[m]]; x.Switch < sw || x.Switch == sw && x.Dst < dst {
+			lo = m + 1
+		} else {
+			hi = m
+		}
+	}
+	for ; lo < len(idx); lo++ {
+		rule := &rules[idx[lo]]
+		if rule.Switch != sw || rule.Dst != dst {
+			break
+		}
 		if rule.InPort != 0 && rule.InPort != inPort {
 			continue
 		}
@@ -244,13 +315,14 @@ func addPathRules(r *Routes, g *topology.Graph, path []int, dst int, vcAt func(i
 var computeWorkers = 0
 
 // computeForDsts fans a strategy's rule builds over an explicit
-// destination set: the per-destination builds run on the worker pool
-// and merge deterministically —
-// each destination gets its own rule bucket (built by `build` calling
-// emit), and the buckets are concatenated in dsts order, so the merged
-// rule list is independent of scheduling. Callers follow with
-// sortRules, which is stable, keeping the final route set byte-
-// identical to a serial build.
+// destination set: the per-destination builds run on the worker pool,
+// each into its own bucket (pre-sized to one rule per switch, the
+// common shape), and the buckets merge deterministically — scattered
+// straight into switch-major order, bucket (dsts) order kept within
+// each switch — so the merged rule list is independent of scheduling.
+// Callers follow with sortRules, which then only orders each switch's
+// segment, keeping the final route set byte-identical to a serial
+// build.
 //
 // build runs concurrently and must only read shared state; the graph's
 // lazy caches (adjacency, CSR, host/switch lists) are primed here
@@ -258,24 +330,50 @@ var computeWorkers = 0
 func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int, emit func(Rule)) error) error {
 	g.CSR()
 	g.Hosts()
+	nsw := g.NumSwitches()
 	perDst := make([][]Rule, len(dsts))
 	err := par.For(context.TODO(), computeWorkers, len(dsts), func(hi int) error {
 		// Each job owns exactly its destination's bucket element.
+		perDst[hi] = make([]Rule, 0, nsw)
 		return build(dsts[hi], func(rule Rule) { perDst[hi] = append(perDst[hi], rule) })
 	})
 	if err != nil {
 		return err
 	}
-	n := 0
-	for _, rs := range perDst {
-		n += len(rs)
+	rules, ok := switchMajor(perDst, len(g.Vertices))
+	if !ok {
+		rules = slices.Concat(perDst...)
 	}
-	r.Rules = make([]Rule, 0, n)
-	for _, rs := range perDst {
-		r.Rules = append(r.Rules, rs...)
-	}
+	r.Rules = rules
 	r.invalidate()
 	return nil
+}
+
+// switchMajor is a stable counting sort by Switch: it concatenates the
+// buckets and groups the rules by Switch, keeping their concatenated
+// order within each switch. ok is false when a Switch falls outside
+// [0, nv).
+func switchMajor(buckets [][]Rule, nv int) (out []Rule, ok bool) {
+	pos := make([]int, nv+1)
+	for _, b := range buckets {
+		for i := range b {
+			if uint(b[i].Switch) >= uint(nv) {
+				return nil, false
+			}
+			pos[b[i].Switch+1]++
+		}
+	}
+	for sw := 1; sw <= nv; sw++ {
+		pos[sw] += pos[sw-1]
+	}
+	out = make([]Rule, pos[nv])
+	for _, b := range buckets {
+		for _, rule := range b {
+			out[pos[rule.Switch]] = rule
+			pos[rule.Switch]++
+		}
+	}
+	return out, true
 }
 
 // DstComputer is a Strategy whose route build is an independent pure
@@ -333,7 +431,7 @@ func canonicalDsts(g *topology.Graph, dsts []int) ([]int, error) {
 		}
 		out = append(out, d)
 	}
-	sort.Ints(out)
+	slices.Sort(out)
 	n := 0
 	for i, d := range out {
 		if i == 0 || d != out[i-1] {
@@ -414,20 +512,38 @@ func shortestPathBuilder(g *topology.Graph) (func(dst int, emit func(Rule)) erro
 	}, nil
 }
 
+// cmpRuleKey is the canonical rule order: (Switch, Dst, Tag, InPort).
+func cmpRuleKey(a, b Rule) int {
+	return cmp.Or(cmp.Compare(a.Switch, b.Switch), cmp.Compare(a.Dst, b.Dst),
+		cmp.Compare(a.Tag, b.Tag), cmp.Compare(a.InPort, b.InPort))
+}
+
+// sortRules puts the rules in cmpRuleKey order, stably. Rules not yet
+// switch-major are bucketed by Switch first (computeForDsts already
+// leaves them so); then each switch's segment is sorted only when out of
+// order. The result is byte-identical to one stable sort over the whole
+// slice, which is the fallback when a Switch ID is out of range.
 func sortRules(r *Routes) {
-	sort.SliceStable(r.Rules, func(i, j int) bool {
-		a, b := r.Rules[i], r.Rules[j]
-		if a.Switch != b.Switch {
-			return a.Switch < b.Switch
+	rules := r.Rules
+	if !slices.IsSortedFunc(rules, func(a, b Rule) int { return cmp.Compare(a.Switch, b.Switch) }) {
+		var ok bool
+		if rules, ok = switchMajor([][]Rule{rules}, len(r.Topo.Vertices)); !ok {
+			slices.SortStableFunc(r.Rules, cmpRuleKey)
+			r.invalidate()
+			return
 		}
-		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
+	}
+	for lo := 0; lo < len(rules); {
+		hi := lo + 1
+		for hi < len(rules) && rules[hi].Switch == rules[lo].Switch {
+			hi++
 		}
-		if a.Tag != b.Tag {
-			return a.Tag < b.Tag
+		if seg := rules[lo:hi]; !slices.IsSortedFunc(seg, cmpRuleKey) {
+			slices.SortStableFunc(seg, cmpRuleKey)
 		}
-		return a.InPort < b.InPort
-	})
+		lo = hi
+	}
+	r.Rules = rules
 	r.invalidate()
 }
 

@@ -12,8 +12,8 @@ package service
 //
 // Status mapping on submit: 200 for a cache hit (the job is born
 // done), 202 for queued and for singleflight adoption, 400 for an
-// invalid spec, 429 when the bounded queue is full, 503 while
-// draining. Results: 200 with the table body, 202 with a JobStatus
+// invalid spec, 413 for a body over 1 MiB, 429 when the bounded queue
+// is full, 503 while draining. Results: 200 with the table body, 202 with a JobStatus
 // while the job is still in flight, 409 for failed/cancelled jobs.
 
 import (
@@ -188,12 +188,21 @@ func writeJSON(w http.ResponseWriter, code int, v any) {
 	enc.Encode(v)
 }
 
+// maxSpecBytes caps a submitted spec body; a real spec is a few
+// hundred bytes.
+const maxSpecBytes = 1 << 20
+
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var spec JobSpec
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSpecBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&spec); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{"bad spec: " + err.Error()})
+		code := http.StatusBadRequest
+		var tooBig *http.MaxBytesError
+		if errors.As(err, &tooBig) {
+			code = http.StatusRequestEntityTooLarge
+		}
+		writeJSON(w, code, apiError{"bad spec: " + err.Error()})
 		return
 	}
 	st, err := s.Submit(spec)

@@ -12,6 +12,7 @@ import (
 	"context"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -522,6 +523,59 @@ func TestHTTPSurface(t *testing.T) {
 
 	if srv.Stats().Workers != 1 {
 		t.Fatalf("stats workers: %+v", srv.Stats())
+	}
+}
+
+// TestSubmitRejectsNonFiniteSpec: NaN compares false against every
+// bound, so a range check alone would admit it; every float knob must
+// reject NaN and ±Inf at the Submit boundary.
+func TestSubmitRejectsNonFiniteSpec(t *testing.T) {
+	srv, _ := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, tc := range []struct {
+		name string
+		spec JobSpec
+	}{
+		{"load=NaN", JobSpec{Load: nan}},
+		{"load=+Inf", JobSpec{Load: inf}},
+		{"load=-Inf", JobSpec{Load: -inf}},
+		{"dur_ms=NaN", JobSpec{DurMs: nan}},
+		{"dur_ms=+Inf", JobSpec{DurMs: inf}},
+		{"dur_ms=-Inf", JobSpec{DurMs: -inf}},
+		{"mtbf_ms=NaN", JobSpec{MTBFMs: nan}},
+		{"mtbf_ms=+Inf", JobSpec{MTBFMs: inf}},
+		{"mtbf_ms=-Inf", JobSpec{MTBFMs: -inf}},
+	} {
+		tc.spec.Scenario = "svc-test-echo"
+		if st, err := srv.Submit(tc.spec); err == nil {
+			t.Errorf("%s: accepted as job %s", tc.name, st.ID)
+		}
+	}
+}
+
+// TestSubmitRejectsOversizedBody: a spec body over the 1 MiB cap is
+// refused with 413 without wedging the daemon — the next job still
+// completes.
+func TestSubmitRejectsOversizedBody(t *testing.T) {
+	_, c := newTestServer(t, Config{Workers: 1, QueueCap: 4})
+	body := `{"scenario":"svc-test-echo","reconfig":"` + strings.Repeat("x", 2<<20) + `"}`
+	resp, err := http.Post(c.Base+"/v1/jobs", "application/json", strings.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusRequestEntityTooLarge {
+		t.Fatalf("oversized spec: HTTP %d, want 413", resp.StatusCode)
+	}
+	st, err := c.Submit(testCtx(t), JobSpec{Scenario: "svc-test-echo", Seed: 77})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !st.State.Terminal() {
+		st = waitState(t, c, st.ID, StateDone)
+	}
+	if st.State != StateDone {
+		t.Fatalf("job after oversized spec: %s (%s)", st.State, st.Error)
 	}
 }
 
