@@ -99,7 +99,7 @@ func FuzzFIBLookup(f *testing.F) {
 	})
 }
 
-// FuzzRouteIndex differentially tests the linear-time route ordering and
+// FuzzRouteIndex differentially tests the route ordering and
 // the sorted rule index on random manual rule sets — unsorted input,
 // repeated (switch, dst) groups with mixed InPort/Tag specificity, exact
 // duplicates, and negative or out-of-range IDs:

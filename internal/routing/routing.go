@@ -320,9 +320,8 @@ var computeWorkers = 0
 // common shape), and the buckets merge deterministically — scattered
 // straight into switch-major order, bucket (dsts) order kept within
 // each switch — so the merged rule list is independent of scheduling.
-// Callers follow with sortRules, which then only orders each switch's
-// segment, keeping the final route set byte-identical to a serial
-// build.
+// Callers follow with sortRules, which keeps the final route set
+// byte-identical to a serial build.
 //
 // build runs concurrently and must only read shared state; the graph's
 // lazy caches (adjacency, CSR, host/switch lists) are primed here
@@ -340,9 +339,9 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 	if err != nil {
 		return err
 	}
-	rules, ok := switchMajor(perDst, len(g.Vertices))
-	if !ok {
-		rules = slices.Concat(perDst...)
+	rules, err := switchMajor(perDst, len(g.Vertices))
+	if err != nil {
+		return err
 	}
 	r.Rules = rules
 	r.invalidate()
@@ -351,14 +350,13 @@ func computeForDsts(r *Routes, g *topology.Graph, dsts []int, build func(dst int
 
 // switchMajor is a stable counting sort by Switch: it concatenates the
 // buckets and groups the rules by Switch, keeping their concatenated
-// order within each switch. ok is false when a Switch falls outside
-// [0, nv).
-func switchMajor(buckets [][]Rule, nv int) (out []Rule, ok bool) {
+// order within each switch. A Switch outside [0, nv) is an error.
+func switchMajor(buckets [][]Rule, nv int) ([]Rule, error) {
 	pos := make([]int, nv+1)
 	for _, b := range buckets {
 		for i := range b {
 			if uint(b[i].Switch) >= uint(nv) {
-				return nil, false
+				return nil, fmt.Errorf("routing: rule switch %d outside the graph", b[i].Switch)
 			}
 			pos[b[i].Switch+1]++
 		}
@@ -366,14 +364,14 @@ func switchMajor(buckets [][]Rule, nv int) (out []Rule, ok bool) {
 	for sw := 1; sw <= nv; sw++ {
 		pos[sw] += pos[sw-1]
 	}
-	out = make([]Rule, pos[nv])
+	out := make([]Rule, pos[nv])
 	for _, b := range buckets {
 		for _, rule := range b {
 			out[pos[rule.Switch]] = rule
 			pos[rule.Switch]++
 		}
 	}
-	return out, true
+	return out, nil
 }
 
 // DstComputer is a Strategy whose route build is an independent pure
@@ -518,32 +516,13 @@ func cmpRuleKey(a, b Rule) int {
 		cmp.Compare(a.Tag, b.Tag), cmp.Compare(a.InPort, b.InPort))
 }
 
-// sortRules puts the rules in cmpRuleKey order, stably. Rules not yet
-// switch-major are bucketed by Switch first (computeForDsts already
-// leaves them so); then each switch's segment is sorted only when out of
-// order. The result is byte-identical to one stable sort over the whole
-// slice, which is the fallback when a Switch ID is out of range.
+// sortRules puts the rules in cmpRuleKey order, stably. Strategy
+// output usually arrives already in order (computeForDsts scatters it
+// switch-major), so the sort is skipped after one linear check.
 func sortRules(r *Routes) {
-	rules := r.Rules
-	if !slices.IsSortedFunc(rules, func(a, b Rule) int { return cmp.Compare(a.Switch, b.Switch) }) {
-		var ok bool
-		if rules, ok = switchMajor([][]Rule{rules}, len(r.Topo.Vertices)); !ok {
-			slices.SortStableFunc(r.Rules, cmpRuleKey)
-			r.invalidate()
-			return
-		}
+	if !slices.IsSortedFunc(r.Rules, cmpRuleKey) {
+		slices.SortStableFunc(r.Rules, cmpRuleKey)
 	}
-	for lo := 0; lo < len(rules); {
-		hi := lo + 1
-		for hi < len(rules) && rules[hi].Switch == rules[lo].Switch {
-			hi++
-		}
-		if seg := rules[lo:hi]; !slices.IsSortedFunc(seg, cmpRuleKey) {
-			slices.SortStableFunc(seg, cmpRuleKey)
-		}
-		lo = hi
-	}
-	r.Rules = rules
 	r.invalidate()
 }
 
